@@ -1,7 +1,8 @@
 // Micro-benchmarks (google-benchmark) for the core operations: tree
 // construction, exact lookup, Search_CS, distance evaluation, Rank_CS
-// end-to-end, and query-cache hits. Not a paper figure — operational
-// cost data for library users.
+// end-to-end, query-cache hits, and a served query with and without
+// the cache. Not a paper figure — operational cost data for library
+// users.
 
 #include <benchmark/benchmark.h>
 
@@ -15,6 +16,9 @@
 #include "preference/query_cache.h"
 #include "preference/resolution.h"
 #include "preference/sequential_store.h"
+#include "storage/profile_store.h"
+#include "storage/serving.h"
+#include "workload/default_profiles.h"
 #include "workload/poi_dataset.h"
 #include "workload/profile_generator.h"
 #include "workload/query_generator.h"
@@ -167,6 +171,70 @@ void BM_QueryCacheHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_QueryCacheHit);
+
+void DieUnlessOk(const Status& st) {
+  if (!st.ok()) {
+    std::fprintf(stderr, "%s\n", st.ToString().c_str());
+    std::abort();
+  }
+}
+
+template <typename T>
+T ValueOrDie(StatusOr<T> v) {
+  DieUnlessOk(v.status());
+  return std::move(*v);
+}
+
+/// One user on a default profile over `num_pois` POIs, and single-state
+/// exact queries drawn from that profile: the setup of the two
+/// `ServeQuery` benches below, whose ratio at a given size is what the
+/// cache saves on a fully cached serve.
+struct ServeFixture {
+  workload::PoiDatabase poi;
+  storage::ProfileStore store;
+  std::vector<ContextualQuery> queries;
+  QueryOptions options;
+
+  explicit ServeFixture(size_t num_pois)
+      : poi(ValueOrDie(workload::MakePoiDatabase(num_pois, 11))),
+        store(poi.env) {
+    Profile profile = ValueOrDie(workload::MakeDefaultProfile(
+        poi.env, workload::AgeGroup::k30To50, workload::Sex::kFemale,
+        workload::Taste::kMainstream));
+    for (const ContextState& s : workload::ExactQueryBatch(profile, 64, 5)) {
+      queries.push_back(ContextualQuery{ExtendedDescriptor::FromComposite(
+          ValueOrDie(CompositeDescriptor::ForState(*poi.env, s))), {}});
+    }
+    DieUnlessOk(store.CreateUser("u", std::move(profile)));
+    options.top_k = 10;
+  }
+
+  void Serve(size_t i, ContextQueryTree* cache) {
+    StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+        store, "u", poi.relation, queries[i % queries.size()], cache, options);
+    benchmark::DoNotOptimize(served->result.tuples.data());
+  }
+};
+
+void BM_CachedServeHit(benchmark::State& state) {
+  ServeFixture f(static_cast<size_t>(state.range(0)));
+  ContextQueryTree cache(f.poi.env, Ordering::Identity(f.poi.env->size()));
+  for (size_t i = 0; i < f.queries.size(); ++i) f.Serve(i, &cache);  // Warm.
+  const uint64_t misses = cache.misses();
+  size_t i = 0;
+  for (auto _ : state) f.Serve(i++, &cache);
+  if (cache.misses() != misses) state.SkipWithError("cache missed");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CachedServeHit)->Arg(100)->Arg(2000);
+
+void BM_UncachedServe(benchmark::State& state) {
+  ServeFixture f(static_cast<size_t>(state.range(0)));
+  size_t i = 0;
+  for (auto _ : state) f.Serve(i++, nullptr);
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_UncachedServe)->Arg(100)->Arg(2000);
 
 void BM_TreeInsertRemoveCycle(benchmark::State& state) {
   workload::SyntheticProfile gen = MakeProfile(1000, 0.0);

@@ -123,4 +123,103 @@ std::vector<ScoredTuple> Ranker::TopK(size_t k) const {
   return ranked;
 }
 
+namespace {
+
+/// True once `out` holds `top_k` rows and `score` falls below the k-th:
+/// the ordered merge paths stop there (`TopK` keeps every tie).
+bool PastTopK(const std::vector<ScoredTuple>& out, size_t top_k,
+              double score) {
+  return top_k > 0 && out.size() >= top_k && score != out[top_k - 1].score;
+}
+
+std::vector<ScoredTuple> WalkRun(RankedRun run, size_t top_k,
+                                 const RowFilter& eligible) {
+  std::vector<ScoredTuple> out;
+  out.reserve(top_k > 0 ? std::min(top_k, run.size()) : run.size());
+  for (const ScoredTuple& t : run) {
+    if (PastTopK(out, top_k, t.score)) break;
+    if (eligible && !eligible(t.row_id)) continue;
+    out.push_back(t);
+  }
+  return out;
+}
+
+std::vector<ScoredTuple> HeapMergeMax(std::span<const RankedRun> runs,
+                                      size_t top_k,
+                                      const RowFilter& eligible) {
+  struct Cursor {
+    const ScoredTuple* at;
+    const ScoredTuple* end;
+    size_t run;
+  };
+  // Heap order: the top is the highest score, then lowest row, then
+  // earliest run.
+  auto after = [](const Cursor& a, const Cursor& b) {
+    if (a.at->score != b.at->score) return a.at->score < b.at->score;
+    if (a.at->row_id != b.at->row_id) return a.at->row_id > b.at->row_id;
+    return a.run > b.run;
+  };
+  std::vector<Cursor> heap;
+  heap.reserve(runs.size());
+  for (size_t r = 0; r < runs.size(); ++r) {
+    if (runs[r].empty()) continue;
+    heap.push_back(
+        Cursor{runs[r].data(), runs[r].data() + runs[r].size(), r});
+  }
+  std::make_heap(heap.begin(), heap.end(), after);
+
+  std::vector<ScoredTuple> out;
+  std::vector<uint64_t> seen;  // Bitmap of rows already popped.
+  while (!heap.empty()) {
+    std::pop_heap(heap.begin(), heap.end(), after);
+    Cursor& c = heap.back();
+    const ScoredTuple t = *c.at;
+    if (PastTopK(out, top_k, t.score)) break;
+    if (++c.at == c.end) {
+      heap.pop_back();
+    } else {
+      std::push_heap(heap.begin(), heap.end(), after);
+    }
+    const size_t word = t.row_id / 64;
+    const uint64_t bit = uint64_t{1} << (t.row_id % 64);
+    if (word >= seen.size()) seen.resize(word + 1, 0);
+    if (seen[word] & bit) continue;
+    seen[word] |= bit;
+    if (eligible && !eligible(t.row_id)) continue;
+    out.push_back(t);
+  }
+  return out;
+}
+
+}  // namespace
+
+std::vector<ScoredTuple> MergeRankedRuns(std::span<const RankedRun> runs,
+                                         CombinePolicy policy, size_t top_k,
+                                         const RowFilter& eligible) {
+  const RankedRun* only = nullptr;
+  size_t non_empty = 0;
+  for (const RankedRun& run : runs) {
+    if (run.empty()) continue;
+    only = &run;
+    ++non_empty;
+  }
+  if (non_empty == 0) return {};
+  if (non_empty == 1) return WalkRun(*only, top_k, eligible);
+  if (policy == CombinePolicy::kMax) {
+    return HeapMergeMax(runs, top_k, eligible);
+  }
+  RowId max_row = 0;
+  for (const RankedRun& run : runs) {
+    for (const ScoredTuple& t : run) max_row = std::max(max_row, t.row_id);
+  }
+  Ranker ranker(policy);
+  ranker.ReserveDense(max_row + 1);
+  for (const RankedRun& run : runs) {
+    for (const ScoredTuple& t : run) {
+      if (!eligible || eligible(t.row_id)) ranker.Add(t.row_id, t.score);
+    }
+  }
+  return top_k > 0 ? ranker.TopK(top_k) : ranker.Ranked();
+}
+
 }  // namespace ctxpref::db

@@ -1,6 +1,8 @@
 #ifndef CTXPREF_DB_RANKER_H_
 #define CTXPREF_DB_RANKER_H_
 
+#include <functional>
+#include <span>
 #include <vector>
 
 #include "db/relation.h"
@@ -91,6 +93,33 @@ class Ranker {
   std::vector<uint8_t> present_;
   std::vector<RowId> touched_;
 };
+
+/// One pre-ranked input of `MergeRankedRuns`: tuples sorted by
+/// (score desc, row asc), each row at most once — the shape of
+/// `Ranker::Ranked()` output and of a cached per-state list.
+using RankedRun = std::span<const ScoredTuple>;
+
+/// Row filter for `MergeRankedRuns`; an empty function admits every row.
+using RowFilter = std::function<bool(RowId)>;
+
+/// Merges pre-ranked runs into one ranked list. The result equals, bit
+/// for bit, a `Ranker(policy)` fed every `eligible` tuple of `runs[0]`,
+/// then of `runs[1]`, and so on, followed by `TopK(top_k)` (`Ranked()`
+/// when `top_k` is 0). It reads only as far as the answer needs:
+///   - one non-empty run: an in-order walk that stops at `top_k` plus
+///     ties with the k-th score; no Ranker, no sort;
+///   - several runs under kMax: a k-way heap merge by (score desc, row
+///     asc, run asc) with the same early stop. A row's first pop carries
+///     its max (equal scores such as 0.0 / -0.0 go to the earliest run,
+///     the value `std::max` keeps), so later pops of that row are
+///     skipped;
+///   - several runs under any other policy: a dense `Ranker`, since a
+///     min or average is only known once every run has been read.
+/// Row ids must be dense relation row indexes: the merge keeps per-row
+/// tables sized by the largest id it meets.
+std::vector<ScoredTuple> MergeRankedRuns(std::span<const RankedRun> runs,
+                                         CombinePolicy policy, size_t top_k,
+                                         const RowFilter& eligible = {});
 
 }  // namespace ctxpref::db
 

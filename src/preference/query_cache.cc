@@ -274,10 +274,10 @@ ContextQueryTree::LookupAtOrBefore(const std::string& user,
   return result;
 }
 
-void ContextQueryTree::Put(const std::string& user, const ContextState& state,
-                           uint64_t profile_version,
-                           std::vector<db::ScoredTuple> tuples,
-                           CandidateSetPtr candidates) {
+std::shared_ptr<const ContextQueryTree::Entry> ContextQueryTree::Put(
+    const std::string& user, const ContextState& state,
+    uint64_t profile_version, std::vector<db::ScoredTuple> tuples,
+    CandidateSetPtr candidates) {
   CacheMetrics& metrics = CacheMetrics::Get();
   TraceSpan span("query_cache.put");
   ScopedLatency latency(&metrics.put_latency);
@@ -288,14 +288,14 @@ void ContextQueryTree::Put(const std::string& user, const ContextState& state,
   Node* node = Descend(shard, user, state, /*create=*/true, nullptr);
   if (node->leaf != nullptr) {
     // Overwrite in place; readers holding the old snapshot keep it.
-    node->leaf->entry = std::move(entry);
+    node->leaf->entry = entry;
     node->leaf->version = profile_version;
     shard.lru.splice(shard.lru.begin(), shard.lru, node->leaf->lru_it);
-    return;
+    return entry;
   }
   shard.lru.push_front(EntryKey{user, state});
   node->leaf = std::make_unique<Leaf>();
-  node->leaf->entry = std::move(entry);
+  node->leaf->entry = entry;
   node->leaf->version = profile_version;
   node->leaf->lru_it = shard.lru.begin();
   ++shard.size;
@@ -308,6 +308,7 @@ void ContextQueryTree::Put(const std::string& user, const ContextState& state,
     ++shard.evictions;
     metrics.evictions.Increment();
   }
+  return entry;
 }
 
 size_t ContextQueryTree::InvalidateUser(const std::string& user) {
@@ -427,15 +428,13 @@ HistogramSnapshot ContextQueryTree::ShardLookupLatency(
 
 namespace {
 
-/// Outcome of evaluating one query state: either served from cache or
-/// recomputed (and cached); `candidates` carries the resolution trace
-/// in both cases so hits and misses are indistinguishable downstream.
-/// The set is shared with the cache entry, not copied, so hits cost one
-/// refcount bump instead of a deep copy of states + clause strings.
+/// Outcome of evaluating one query state: the cache entry it was served
+/// from, or the one its recomputation stored. Hits and misses are
+/// indistinguishable downstream, and neither copies the entry's tuples
+/// or candidates — the merge reads them in place.
 struct PerStateResult {
   Status status = Status::OK();
-  std::vector<db::ScoredTuple> tuples;
-  ContextQueryTree::CandidateSetPtr candidates;
+  std::shared_ptr<const ContextQueryTree::Entry> entry;
 };
 
 PerStateResult EvaluateState(const db::Relation& relation,
@@ -454,13 +453,8 @@ PerStateResult EvaluateState(const db::Relation& relation,
         Status::DeadlineExceeded("cached_rank_cs: deadline expired at state");
     return out;
   }
-  std::shared_ptr<const ContextQueryTree::Entry> cached =
-      cache.Lookup(cache_user, s, profile_version, counter);
-  if (cached != nullptr) {
-    out.tuples = cached->tuples;
-    out.candidates = cached->candidates;
-    return out;
-  }
+  out.entry = cache.Lookup(cache_user, s, profile_version, counter);
+  if (out.entry != nullptr) return out;
   // Compute this state's contribution with plain Rank_CS, then
   // populate the cache.
   std::vector<CandidatePath> best = resolve(s, options.resolution, counter);
@@ -491,10 +485,9 @@ PerStateResult EvaluateState(const db::Relation& relation,
       }
     }
   }
-  out.tuples = state_ranker.Ranked();
-  out.candidates =
-      std::make_shared<const std::vector<CandidatePath>>(std::move(best));
-  cache.Put(cache_user, s, profile_version, out.tuples, out.candidates);
+  out.entry = cache.Put(
+      cache_user, s, profile_version, state_ranker.Ranked(),
+      std::make_shared<const std::vector<CandidatePath>>(std::move(best)));
   return out;
 }
 
@@ -589,10 +582,9 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
     done_cv.Wait(done_mu, [&] { return pending == 0; });
   }
 
-  QueryResult result;
-  db::Ranker ranker(options.combine);
-  for (size_t i = 0; i < states.size(); ++i) {
-    PerStateResult& ps = per_state[i];
+  std::vector<std::shared_ptr<const ContextQueryTree::Entry>> entries;
+  entries.reserve(states.size());
+  for (PerStateResult& ps : per_state) {
     if (!ps.status.ok()) {
       if (ps.status.IsDeadlineExceeded()) {
         // Partial-work accounting: how many states completed before
@@ -610,28 +602,11 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
       }
       return ps.status;
     }
-    for (const db::ScoredTuple& t : ps.tuples) {
-      // Re-apply the query's restricting selections: cached lists are
-      // selection-agnostic (keyed by context state only).
-      bool eligible = true;
-      for (const db::Predicate& sel : query.selections) {
-        if (!sel.Eval(relation.row(t.row_id))) {
-          eligible = false;
-          break;
-        }
-      }
-      if (eligible) ranker.Add(t.row_id, t.score);
-    }
-    // Traces expose plain vectors (explain/CLI consumers mutate and
-    // move them), so the shared set is copied out here — once per
-    // state, same as the pre-sharing cache-hit cost.
-    result.traces.push_back(QueryResult::Trace{
-        states[i], ps.candidates != nullptr ? *ps.candidates
-                                            : std::vector<CandidatePath>{}});
+    entries.push_back(std::move(ps.entry));
   }
 
-  result.tuples =
-      options.top_k > 0 ? ranker.TopK(options.top_k) : ranker.Ranked();
+  QueryResult result =
+      MergeCachedStates(relation, query, states, entries, options);
   metrics.cached_queries.Increment();
   metrics.states.Increment(states.size());
   if (span.active()) {
@@ -642,6 +617,38 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
 }
 
 }  // namespace
+
+QueryResult MergeCachedStates(
+    const db::Relation& relation, const ContextualQuery& query,
+    const std::vector<ContextState>& states,
+    const std::vector<std::shared_ptr<const ContextQueryTree::Entry>>& entries,
+    const QueryOptions& options) {
+  assert(states.size() == entries.size());
+  QueryResult result;
+  std::vector<db::RankedRun> runs;
+  runs.reserve(entries.size());
+  for (size_t i = 0; i < states.size(); ++i) {
+    runs.emplace_back(entries[i]->tuples);
+    // Traces expose plain vectors (explain/CLI consumers mutate and
+    // move them), so the shared set is copied out here, once per state.
+    result.traces.push_back(QueryResult::Trace{
+        states[i], entries[i]->candidates != nullptr
+                       ? *entries[i]->candidates
+                       : std::vector<CandidatePath>{}});
+  }
+  db::RowFilter eligible;
+  if (!query.selections.empty()) {
+    eligible = [&relation, &query](db::RowId row) {
+      for (const db::Predicate& sel : query.selections) {
+        if (!sel.Eval(relation.row(row))) return false;
+      }
+      return true;
+    };
+  }
+  result.tuples =
+      db::MergeRankedRuns(runs, options.combine, options.top_k, eligible);
+  return result;
+}
 
 StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
                                    const ContextualQuery& query,

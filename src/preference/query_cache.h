@@ -155,16 +155,21 @@ class ContextQueryTree {
   /// Caches `tuples` (and the resolution `candidates` that produced
   /// them) for `user`'s `state` at `profile_version`, evicting the
   /// shard's least-recently-used entry beyond the shard capacity.
-  void Put(const std::string& user, const ContextState& state,
-           uint64_t profile_version, std::vector<db::ScoredTuple> tuples,
-           CandidateSetPtr candidates = nullptr);
+  /// Returns the stored entry, so a miss can serve from it without
+  /// keeping a second copy of the list.
+  std::shared_ptr<const Entry> Put(const std::string& user,
+                                   const ContextState& state,
+                                   uint64_t profile_version,
+                                   std::vector<db::ScoredTuple> tuples,
+                                   CandidateSetPtr candidates = nullptr);
 
   /// Single-user sugar: `Put("", state, ...)`.
-  void Put(const ContextState& state, uint64_t profile_version,
-           std::vector<db::ScoredTuple> tuples,
-           CandidateSetPtr candidates = nullptr) {
-    Put(std::string(), state, profile_version, std::move(tuples),
-        std::move(candidates));
+  std::shared_ptr<const Entry> Put(const ContextState& state,
+                                   uint64_t profile_version,
+                                   std::vector<db::ScoredTuple> tuples,
+                                   CandidateSetPtr candidates = nullptr) {
+    return Put(std::string(), state, profile_version, std::move(tuples),
+               std::move(candidates));
   }
 
   /// Eagerly drops every cached entry of `user` — the invalidation hook
@@ -282,6 +287,19 @@ class ContextQueryTree {
   std::atomic<bool> retain_stale_{false};
   std::vector<std::unique_ptr<Shard>> shards_;
 };
+
+/// The answer of a cached query from its per-state entries — the merge
+/// step shared by `CachedRankCS` and the serving ladder's stale rung.
+/// Re-applies `query.selections` (cached lists are keyed by context
+/// state only), merges the per-state lists with `db::MergeRankedRuns`
+/// under `options.combine` / `options.top_k`, and copies each state's
+/// candidate set into its trace. `entries[i]` is `states[i]`'s entry,
+/// never null. A single-state answer copies only the tuples it returns.
+QueryResult MergeCachedStates(
+    const db::Relation& relation, const ContextualQuery& query,
+    const std::vector<ContextState>& states,
+    const std::vector<std::shared_ptr<const ContextQueryTree::Entry>>& entries,
+    const QueryOptions& options);
 
 /// Rank_CS with per-state caching through a `ContextQueryTree`.
 ///

@@ -139,10 +139,9 @@ namespace {
 /// Ladder rung 1: a cached answer with every query state at ONE
 /// consistent older serving version — mixed versions would be exactly
 /// the torn answer the serving layer promises never to produce. The
-/// merge replicates CachedRankCS's (selections re-applied, associative
-/// combine, top-k last), so the result is bit-identical to a direct
-/// ServeQuery pinned at that version — the differential test's
-/// property.
+/// merge is CachedRankCS's own (`MergeCachedStates`), so the result is
+/// bit-identical to a direct ServeQuery pinned at that version — the
+/// differential test's property.
 bool TryServeStale(const std::string& user_id, const db::Relation& relation,
                    const ContextualQuery& query,
                    const std::vector<ContextState>& states,
@@ -176,27 +175,7 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
     entries.push_back(std::move(e));
   }
 
-  QueryResult result;
-  db::Ranker ranker(options.combine);
-  for (size_t i = 0; i < states.size(); ++i) {
-    for (const db::ScoredTuple& t : entries[i]->tuples) {
-      bool eligible = true;
-      for (const db::Predicate& sel : query.selections) {
-        if (!sel.Eval(relation.row(t.row_id))) {
-          eligible = false;
-          break;
-        }
-      }
-      if (eligible) ranker.Add(t.row_id, t.score);
-    }
-    result.traces.push_back(QueryResult::Trace{
-        states[i], entries[i]->candidates != nullptr
-                       ? *entries[i]->candidates
-                       : std::vector<CandidatePath>{}});
-  }
-  result.tuples =
-      options.top_k > 0 ? ranker.TopK(options.top_k) : ranker.Ranked();
-  *out = std::move(result);
+  *out = MergeCachedStates(relation, query, states, entries, options);
   *served_version = version;
   return true;
 }

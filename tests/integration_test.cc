@@ -27,11 +27,12 @@ namespace ctxpref {
 namespace {
 
 using ::ctxpref::testing::Pref;
+using ::ctxpref::testing::TestTempPath;
 
 class IntegrationTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    dir_ = ::testing::TempDir() + "/ctxpref_integration";
+    dir_ = TestTempPath();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
   }

@@ -13,6 +13,7 @@ namespace {
 
 using ::ctxpref::testing::PaperEnv;
 using ::ctxpref::testing::Pref;
+using ::ctxpref::testing::TestTempPath;
 
 class ProfileStoreTest : public ::testing::Test {
  protected:
@@ -208,7 +209,7 @@ TEST_F(ProfileStoreTest, RemoveUser) {
 
 TEST_F(ProfileStoreTest, SaveAllAndLoadDirRoundTrip) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "/ctxpref_store_test";
+  const std::string dir = TestTempPath();
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -243,7 +244,7 @@ TEST_F(ProfileStoreTest, SaveAllRequiresDirectory) {
 
 TEST_F(ProfileStoreTest, LoadDirIgnoresOtherFiles) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "/ctxpref_store_mixed";
+  const std::string dir = TestTempPath();
   fs::remove_all(dir);
   fs::create_directories(dir);
   {
@@ -261,7 +262,7 @@ TEST_F(ProfileStoreTest, LoadDirIgnoresOtherFiles) {
 
 TEST_F(ProfileStoreTest, ReloadUserPicksUpOnDiskChanges) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "/ctxpref_store_reload";
+  const std::string dir = TestTempPath();
   fs::remove_all(dir);
   fs::create_directories(dir);
 
@@ -300,7 +301,7 @@ TEST_F(ProfileStoreTest, ReloadUserPicksUpOnDiskChanges) {
 
 TEST_F(ProfileStoreTest, FailedReloadLeavesProfileServing) {
   namespace fs = std::filesystem;
-  const std::string dir = ::testing::TempDir() + "/ctxpref_store_reload_bad";
+  const std::string dir = TestTempPath();
   fs::remove_all(dir);
   fs::create_directories(dir);
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 
 #include "context/parser.h"
@@ -417,7 +418,7 @@ TEST(ReadmeSnippetTest, ScenarioHarnessSnippetWorksAsAdvertised) {
   // The README loads scenarios/cache_heavy.cfg; tests run from the
   // build tree, so write a scaled-down equivalent (same shape: pure
   // cache-friendly query stream, hits modeled cheaper) to disk first.
-  const std::string path = ::testing::TempDir() + "/readme_cache_heavy.cfg";
+  const std::string path = ::ctxpref::testing::TestTempPath(".cfg");
   {
     std::ofstream out(path);
     out << "name = readme_cache_heavy\n"
@@ -452,6 +453,7 @@ TEST(ReadmeSnippetTest, ScenarioHarnessSnippetWorksAsAdvertised) {
   EXPECT_EQ(on->result_crc, off->result_crc);
   EXPECT_LT(on->virtual_micros, off->virtual_micros);
   // --- end snippet ---
+  std::remove(path.c_str());
 
   // And the rejection the snippet's comment promises:
   EXPECT_FALSE(harness::ParseScenarioConfig("uzers = 2\n").ok());

@@ -37,6 +37,7 @@ namespace ctxpref {
 namespace {
 
 using ::ctxpref::testing::Pref;
+using ::ctxpref::testing::TestTempPath;
 
 class StaleCacheReproTest : public ::testing::Test {
  protected:
@@ -45,7 +46,7 @@ class StaleCacheReproTest : public ::testing::Test {
     ASSERT_OK(poi.status());
     poi_ = std::make_unique<workload::PoiDatabase>(std::move(*poi));
     env_ = poi_->env;
-    dir_ = ::testing::TempDir() + "/ctxpref_stale_repro";
+    dir_ = TestTempPath();
     std::filesystem::remove_all(dir_);
     std::filesystem::create_directories(dir_);
 

@@ -14,6 +14,7 @@ namespace {
 
 using ::ctxpref::testing::PaperEnv;
 using ::ctxpref::testing::Pref;
+using ::ctxpref::testing::TestTempPath;
 
 TEST(Crc32Test, KnownVectors) {
   // Standard check value for "123456789".
@@ -158,7 +159,7 @@ TEST_F(ProfileIoTest, RejectsForeignEnvironmentValues) {
 }
 
 TEST_F(ProfileIoTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/ctxpref_profile.bin";
+  const std::string path = TestTempPath(".bin");
   Profile p = SampleProfile();
   ASSERT_OK(WriteProfileFile(p, path));
   StatusOr<Profile> q = ReadProfileFile(env_, path);
@@ -276,7 +277,7 @@ TEST_F(EnvSpecTest, SyntaxErrors) {
 }
 
 TEST_F(EnvSpecTest, FileRoundTrip) {
-  const std::string path = ::testing::TempDir() + "/ctxpref_env.spec";
+  const std::string path = TestTempPath(".spec");
   StatusOr<EnvironmentPtr> env = ParseEnvironmentSpec(kSpec);
   ASSERT_OK(env.status());
   ASSERT_OK(WriteEnvironmentSpecFile(**env, path));

@@ -2,7 +2,9 @@
 #define CTXPREF_TESTS_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -58,6 +60,20 @@ inline ContextualPreference Pref(const ContextEnvironment& env,
       AttributeClause{attr, db::CompareOp::kEq, db::Value(value)}, score);
   EXPECT_TRUE(pref.ok()) << pref.status().ToString();
   return *pref;
+}
+
+/// A scratch path under gtest's `TempDir()` owned by the running test:
+/// `ctxpref_<Suite>.<Test>_<pid><suffix>`. Under `ctest -j` every test
+/// is its own process, so a fixed name would let one test's cleanup
+/// delete another's files mid-run.
+inline std::string TestTempPath(const std::string& suffix = "") {
+  const ::testing::TestInfo* info =
+      ::testing::UnitTest::GetInstance()->current_test_info();
+  std::string name =
+      std::string(info->test_suite_name()) + "." + info->name();
+  std::replace(name.begin(), name.end(), '/', '_');  // Parameterized names.
+  return ::testing::TempDir() + "/ctxpref_" + name + "_" +
+         std::to_string(getpid()) + suffix;
 }
 
 }  // namespace ctxpref::testing
