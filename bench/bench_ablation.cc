@@ -94,7 +94,10 @@ int AblateQueryCache() {
     add("location = Athens", "type", db::Value("museum"), 0.7);
   }
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
-  TreeResolver resolver(&*tree);
+  // Both arms resolve on the arena (the serving form), so the table
+  // isolates the cache.
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
 
   // A repeating workload: 200 queries over 20 distinct context states.
   std::vector<ContextState> states =
@@ -118,9 +121,9 @@ int AblateQueryCache() {
       q.context = ExtendedDescriptor::FromComposite(
           *CompositeDescriptor::Create(*poi->env, std::move(parts)));
       if (cache != nullptr) {
-        StatusOr<QueryResult> r = CachedRankCS(poi->relation, q, resolver,
-                                               profile, *cache, options,
-                                               &counter);
+        StatusOr<QueryResult> r =
+            CachedRankCS(poi->relation, q, resolver, "", profile.version(),
+                         *cache, options, &counter);
         if (!r.ok()) std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
       } else {
         StatusOr<QueryResult> r =

@@ -168,7 +168,8 @@ int RunRankScaling() {
     std::fprintf(stderr, "%s\n", tree.status().ToString().c_str());
     return 1;
   }
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
 
   // A broad exploratory descriptor: every state of the 27-way cross
   // product is a unit of parallel work.
@@ -205,8 +206,9 @@ int RunRankScaling() {
     auto start = Clock::now();
     for (int i = 0; i < kRepeats; ++i) {
       cache.InvalidateAll();  // Keep every repeat cold: measure compute.
-      StatusOr<QueryResult> r = CachedRankCS(poi->relation, q, resolver,
-                                             profile, cache, options);
+      StatusOr<QueryResult> r =
+          CachedRankCS(poi->relation, q, resolver, "", profile.version(),
+                       cache, options);
       if (!r.ok()) {
         std::fprintf(stderr, "%s\n", r.status().ToString().c_str());
         return 1;

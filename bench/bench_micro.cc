@@ -186,9 +186,11 @@ T ValueOrDie(StatusOr<T> v) {
 }
 
 /// One user on a default profile over `num_pois` POIs, and single-state
-/// exact queries drawn from that profile: the setup of the two
-/// `ServeQuery` benches below, whose ratio at a given size is what the
-/// cache saves on a fully cached serve.
+/// exact queries drawn from that profile: the setup of the three
+/// `ServeQuery` benches below. The hit/uncached ratio at a given size is
+/// what the cache saves on a fully cached serve; the miss/uncached ratio
+/// is what a miss pays on top of plain evaluation (the cache probe and
+/// `Put`).
 struct ServeFixture {
   workload::PoiDatabase poi;
   storage::ProfileStore store;
@@ -227,6 +229,21 @@ void BM_CachedServeHit(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CachedServeHit)->Arg(100)->Arg(2000);
+
+void BM_CachedServeMiss(benchmark::State& state) {
+  ServeFixture f(static_cast<size_t>(state.range(0)));
+  // One shard keeps the per-iteration clear to one lock and one list.
+  ContextQueryTree cache(f.poi.env, Ordering::Identity(f.poi.env->size()),
+                         /*capacity=*/0, /*num_shards=*/1);
+  size_t i = 0;
+  for (auto _ : state) {
+    cache.InvalidateAll();  // Every serve misses: resolve, score, Put.
+    f.Serve(i++, &cache);
+  }
+  if (cache.hits() != 0) state.SkipWithError("cache hit");
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CachedServeMiss)->Arg(100)->Arg(2000);
 
 void BM_UncachedServe(benchmark::State& state) {
   ServeFixture f(static_cast<size_t>(state.range(0)));

@@ -104,11 +104,15 @@ int main() {
 
   // ---- 3. The context query tree: repeated exploratory queries hit
   //         the cache; profile edits invalidate it.
+  //         The cache serves from the arena-flattened tree, tagging
+  //         entries with the profile's own mutation counter.
   ContextQueryTree cache(poi->env, Ordering::Identity(env.size()),
                          /*capacity=*/64);
+  FlatProfileTree flat = FlatProfileTree::Build(*tree);
   for (int round = 0; round < 3; ++round) {
-    StatusOr<QueryResult> cached = CachedRankCS(
-        poi->relation, query, resolver, *profile, cache, options);
+    StatusOr<QueryResult> cached =
+        CachedRankCS(poi->relation, query, FlatResolver(&flat), "",
+                     profile->version(), cache, options);
     if (!cached.ok()) {
       std::fprintf(stderr, "cached: %s\n",
                    cached.status().ToString().c_str());
@@ -132,9 +136,10 @@ int main() {
   }
   // Rebuild the index for the new profile version.
   tree = ProfileTree::Build(*profile);
-  TreeResolver fresh_resolver(&*tree);
-  StatusOr<QueryResult> after = CachedRankCS(
-      poi->relation, query, fresh_resolver, *profile, cache, options);
+  flat = FlatProfileTree::Build(*tree);
+  StatusOr<QueryResult> after =
+      CachedRankCS(poi->relation, query, FlatResolver(&flat), "",
+                   profile->version(), cache, options);
   const CacheStats edited = cache.Stats();
   std::printf("After a profile edit: %llu hits, %llu misses, "
               "%llu invalidations (stale entries recomputed)\n",
@@ -149,8 +154,9 @@ int main() {
   MetricsRegistry::SetTimingEnabled(true);
   TraceRecorder recorder(/*capacity=*/256);
   recorder.Install();
-  StatusOr<QueryResult> traced = CachedRankCS(
-      poi->relation, query, fresh_resolver, *profile, cache, options);
+  StatusOr<QueryResult> traced =
+      CachedRankCS(poi->relation, query, FlatResolver(&flat), "",
+                   profile->version(), cache, options);
   recorder.Uninstall();
   MetricsRegistry::SetTimingEnabled(false);
   if (!traced.ok()) {

@@ -1,8 +1,5 @@
 #include "db/relation.h"
 
-#include <algorithm>
-#include <cstdint>
-
 namespace ctxpref::db {
 
 Status Relation::Append(Tuple row) {
@@ -43,146 +40,6 @@ std::vector<RowId> Relation::SelectAll(
       }
     }
     if (all) out.push_back(id);
-  }
-  return out;
-}
-
-namespace {
-
-/// One pass over a typed column with the comparison hoisted out of the
-/// loop: the scan body is a single compare + conditional push.
-template <typename T, typename Pred>
-void ScanInto(const std::vector<T>& col, Pred pred, std::vector<RowId>& out) {
-  for (RowId id = 0; id < col.size(); ++id) {
-    if (pred(col[id])) out.push_back(id);
-  }
-}
-
-template <typename T>
-void ScanCompare(const std::vector<T>& col, CompareOp op, T constant,
-                 std::vector<RowId>& out) {
-  switch (op) {
-    case CompareOp::kEq:
-      return ScanInto(col, [=](T v) { return v == constant; }, out);
-    case CompareOp::kNe:
-      return ScanInto(col, [=](T v) { return v != constant; }, out);
-    case CompareOp::kLt:
-      return ScanInto(col, [=](T v) { return v < constant; }, out);
-    case CompareOp::kLe:
-      return ScanInto(col, [=](T v) { return v <= constant; }, out);
-    case CompareOp::kGt:
-      return ScanInto(col, [=](T v) { return v > constant; }, out);
-    case CompareOp::kGe:
-      return ScanInto(col, [=](T v) { return v >= constant; }, out);
-  }
-}
-
-}  // namespace
-
-ColumnarProjection::ColumnarProjection(const Relation& relation)
-    : num_rows_(relation.size()) {
-  const Schema& schema = relation.schema();
-  columns_.resize(schema.num_columns());
-  for (size_t c = 0; c < schema.num_columns(); ++c) {
-    Column& col = columns_[c];
-    col.type = schema.column(c).type;
-    switch (col.type) {
-      case ColumnType::kInt64:
-        col.i64.reserve(num_rows_);
-        for (RowId id = 0; id < num_rows_; ++id) {
-          col.i64.push_back(relation.row(id)[c].AsInt64());
-        }
-        break;
-      case ColumnType::kDouble:
-        col.f64.reserve(num_rows_);
-        for (RowId id = 0; id < num_rows_; ++id) {
-          col.f64.push_back(relation.row(id)[c].AsDouble());
-        }
-        break;
-      case ColumnType::kBool:
-        col.b8.reserve(num_rows_);
-        for (RowId id = 0; id < num_rows_; ++id) {
-          col.b8.push_back(relation.row(id)[c].AsBool() ? 1 : 0);
-        }
-        break;
-      case ColumnType::kString: {
-        // Dictionary-encode: codes preserve the value order (the dict
-        // is sorted), so ordered comparisons work on codes directly.
-        col.dict.reserve(num_rows_);
-        for (RowId id = 0; id < num_rows_; ++id) {
-          col.dict.push_back(relation.row(id)[c].AsString());
-        }
-        std::sort(col.dict.begin(), col.dict.end());
-        col.dict.erase(std::unique(col.dict.begin(), col.dict.end()),
-                       col.dict.end());
-        col.codes.reserve(num_rows_);
-        for (RowId id = 0; id < num_rows_; ++id) {
-          col.codes.push_back(static_cast<uint32_t>(
-              std::lower_bound(col.dict.begin(), col.dict.end(),
-                               relation.row(id)[c].AsString()) -
-              col.dict.begin()));
-        }
-        break;
-      }
-    }
-  }
-}
-
-std::vector<RowId> ColumnarProjection::Select(const Predicate& pred) const {
-  const Column& col = columns_[pred.column_index()];
-  const Value& constant = pred.constant();
-  std::vector<RowId> out;
-  switch (col.type) {
-    case ColumnType::kInt64:
-      ScanCompare(col.i64, pred.op(), constant.AsInt64(), out);
-      break;
-    case ColumnType::kDouble:
-      ScanCompare(col.f64, pred.op(), constant.AsDouble(), out);
-      break;
-    case ColumnType::kBool:
-      ScanCompare(col.b8, pred.op(),
-                  static_cast<uint8_t>(constant.AsBool() ? 1 : 0), out);
-      break;
-    case ColumnType::kString: {
-      // Map the constant into code space once, then scan codes. `lb` is
-      // the rank the constant would occupy; when it is actually present
-      // the comparisons against its own code need the inclusive
-      // variants, hence the `present` adjustment.
-      const auto lb_it =
-          std::lower_bound(col.dict.begin(), col.dict.end(),
-                           constant.AsString());
-      const uint32_t lb = static_cast<uint32_t>(lb_it - col.dict.begin());
-      const bool present =
-          lb_it != col.dict.end() && *lb_it == constant.AsString();
-      switch (pred.op()) {
-        case CompareOp::kEq:
-          if (present) ScanCompare(col.codes, CompareOp::kEq, lb, out);
-          break;
-        case CompareOp::kNe:
-          if (present) {
-            ScanCompare(col.codes, CompareOp::kNe, lb, out);
-          } else {
-            out.reserve(num_rows_);
-            for (RowId id = 0; id < num_rows_; ++id) out.push_back(id);
-          }
-          break;
-        case CompareOp::kLt:
-          ScanCompare(col.codes, CompareOp::kLt, lb, out);
-          break;
-        case CompareOp::kLe:
-          ScanCompare(col.codes, CompareOp::kLt,
-                      lb + static_cast<uint32_t>(present ? 1 : 0), out);
-          break;
-        case CompareOp::kGt:
-          ScanCompare(col.codes, CompareOp::kGe,
-                      lb + static_cast<uint32_t>(present ? 1 : 0), out);
-          break;
-        case CompareOp::kGe:
-          ScanCompare(col.codes, CompareOp::kGe, lb, out);
-          break;
-      }
-      break;
-    }
   }
   return out;
 }

@@ -42,41 +42,6 @@ class Relation {
   std::vector<Tuple> rows_;
 };
 
-/// An attribute-major (columnar) projection of a `Relation`, built once
-/// and scanned by `Rank_CS`'s selection loop: each column's values live
-/// in one typed contiguous array (strings dictionary-encoded to dense
-/// codes), so σ_{A θ a} is a branch-light scan over machine words
-/// instead of a per-row walk through `std::variant` tuples.
-///
-/// Immutable after construction and safe to share across threads. The
-/// projection is a snapshot: rows appended to the relation afterwards
-/// are not visible — rebuild to pick them up. Predicates passed to
-/// `Select` must have been bound against the same schema (which
-/// guarantees the constant's type matches the column's).
-class ColumnarProjection {
- public:
-  explicit ColumnarProjection(const Relation& relation);
-
-  size_t num_rows() const { return num_rows_; }
-
-  /// σ_pred: ids of all rows satisfying `pred`, in row order — the
-  /// same contract (and results) as `Relation::Select`.
-  std::vector<RowId> Select(const Predicate& pred) const;
-
- private:
-  struct Column {
-    ColumnType type = ColumnType::kInt64;
-    std::vector<int64_t> i64;       ///< kInt64
-    std::vector<double> f64;        ///< kDouble
-    std::vector<uint8_t> b8;        ///< kBool (0/1)
-    std::vector<uint32_t> codes;    ///< kString: index into dict
-    std::vector<std::string> dict;  ///< Sorted unique values.
-  };
-
-  size_t num_rows_ = 0;
-  std::vector<Column> columns_;
-};
-
 }  // namespace ctxpref::db
 
 #endif  // CTXPREF_DB_RELATION_H_

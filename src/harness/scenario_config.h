@@ -25,7 +25,6 @@ namespace ctxpref::harness {
   X(cow)                          \
   X(tie_break)                    \
   X(resilience)                   \
-  X(flat)                         \
   X(shed)                         \
   X(coherence)
 

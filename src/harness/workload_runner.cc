@@ -298,10 +298,7 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
   base.resolution.jaccard_tie_break = cfg.ablation.tie_break;
   base.combine = db::CombinePolicy::kMax;  // Stale rung needs kMax/kMin.
   base.top_k = cfg.top_k;
-  base.num_threads = parallel ? cfg.threads : 1;
   base.pool = parallel ? &*pool : nullptr;
-  // flat=off: resolve on the pointer tree instead of the arena.
-  base.prefer_flat = cfg.ablation.flat;
 
   // Sensor rig (bench_availability's failing-prefix scripting). With
   // resilience=off a failed read degrades the parameter to `all`
@@ -653,11 +650,9 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
       }
       ContextualQuery truth_q;
       truth_q.context = ExtendedDescriptor(std::move(truth_parts));
-      QueryOptions truth_opt = base;
-      truth_opt.pool = nullptr;  // Keep the truth probe off the pool and
-      truth_opt.num_threads = 1;  // out of the cache.
+      // Uncached: the truth probe must not touch the serving cache.
       StatusOr<QueryResult> truth = storage::ServeQuery(
-          **snap, poi->relation, truth_q, nullptr, truth_opt);
+          **snap, poi->relation, truth_q, /*cache=*/nullptr, base);
       if (!truth.ok()) return truth.status();
       const std::vector<db::RowId> want = TopIds(*truth, cfg.top_k);
       if (!want.empty()) {

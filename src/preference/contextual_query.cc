@@ -52,6 +52,49 @@ double ApplyDiscount(ScoreDiscount discount, double score, double distance) {
   return score;
 }
 
+db::RowFilter SelectionFilter(const db::Relation& relation,
+                              const ContextualQuery& query) {
+  if (query.selections.empty()) return {};
+  return [&relation, &query](db::RowId row) {
+    for (const db::Predicate& sel : query.selections) {
+      if (!sel.Eval(relation.row(row))) return false;
+    }
+    return true;
+  };
+}
+
+Status ScoreCandidates(const db::Relation& relation,
+                       const std::vector<CandidatePath>& candidates,
+                       const QueryOptions& options,
+                       const db::RowFilter& eligible, db::Ranker& ranker,
+                       uint64_t* scored) {
+  for (const CandidatePath& cand : candidates) {
+    // Cancellation point: before each candidate's selections run
+    // against the relation (resolution already paid for, selection —
+    // the expensive part — not yet).
+    if (options.deadline.Expired()) {
+      return Status::DeadlineExceeded("deadline expired before selections");
+    }
+    for (const ProfileTree::LeafEntry& entry : cand.entries) {
+      StatusOr<db::Predicate> pred =
+          db::Predicate::Create(relation.schema(), entry.clause.attribute,
+                                entry.clause.op, entry.clause.value);
+      if (!pred.ok()) return pred.status();
+      const std::vector<db::RowId> rows =
+          options.indexes != nullptr ? options.indexes->Select(*pred)
+                                     : relation.Select(*pred);
+      const double score =
+          ApplyDiscount(options.discount, entry.score, cand.distance);
+      for (db::RowId row : rows) {
+        if (eligible && !eligible(row)) continue;
+        ranker.Add(row, score);
+        ++*scored;
+      }
+    }
+  }
+  return Status::OK();
+}
+
 StatusOr<QueryResult> RankCS(const db::Relation& relation,
                              const ContextualQuery& query,
                              const ContextEnvironment& env,
@@ -76,6 +119,7 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
   // per scored tuple would be measurable in the benches.
   uint64_t tuples_scored = 0;
   size_t states_done = 0;
+  const db::RowFilter eligible = SelectionFilter(relation, query);
   // Partial-work accounting for deadline aborts: which state the loop
   // died in, how many finished, how much was already scored.
   auto deadline_exceeded = [&]() -> Status {
@@ -96,37 +140,11 @@ StatusOr<QueryResult> RankCS(const db::Relation& relation,
     CTXPREF_RETURN_IF_ERROR(s.Validate(env));
     TraceSpan state_span("rank_cs.state");
     std::vector<CandidatePath> best = resolve(s, options.resolution, counter);
-    for (const CandidatePath& cand : best) {
-      // Cancellation point: before each candidate's selections run
-      // against the relation (resolution already paid for, selection —
-      // the expensive part — not yet).
-      if (options.deadline.Expired()) return deadline_exceeded();
-      for (const ProfileTree::LeafEntry& entry : cand.entries) {
-        StatusOr<db::Predicate> pred =
-            db::Predicate::Create(relation.schema(), entry.clause.attribute,
-                                  entry.clause.op, entry.clause.value);
-        if (!pred.ok()) return pred.status();
-        std::vector<db::RowId> rows =
-            options.indexes != nullptr ? options.indexes->Select(*pred)
-            : options.columns != nullptr ? options.columns->Select(*pred)
-                                         : relation.Select(*pred);
-        for (db::RowId row : rows) {
-          // Restricting selections, if any, must all pass.
-          bool eligible = true;
-          for (const db::Predicate& sel : query.selections) {
-            if (!sel.Eval(relation.row(row))) {
-              eligible = false;
-              break;
-            }
-          }
-          if (eligible) {
-            ranker.Add(row, ApplyDiscount(options.discount, entry.score,
-                                          cand.distance));
-            ++tuples_scored;
-          }
-        }
-      }
-    }
+    const Status scoring =
+        ScoreCandidates(relation, best, options, eligible, ranker,
+                        &tuples_scored);
+    if (scoring.IsDeadlineExceeded()) return deadline_exceeded();
+    CTXPREF_RETURN_IF_ERROR(scoring);
     result.traces.push_back(QueryResult::Trace{s, std::move(best)});
     ++states_done;
   }

@@ -2,7 +2,6 @@
 #define CTXPREF_PREFERENCE_CONTEXTUAL_QUERY_H_
 
 #include <functional>
-#include <string>
 #include <vector>
 
 #include "context/descriptor.h"
@@ -79,33 +78,11 @@ struct QueryOptions {
   /// Rank_CS's selections use them instead of scanning (must have been
   /// built against the same relation).
   const db::IndexSet* indexes = nullptr;
-  /// Optional columnar projection of the queried relation; when set
-  /// (and `indexes` is not), Rank_CS's selections scan it attribute-
-  /// major instead of walking the row-store tuples. Must have been
-  /// built against the same relation contents.
-  const db::ColumnarProjection* columns = nullptr;
-  /// Worker threads for `CachedRankCS`'s per-state loop. 1 = evaluate
-  /// states inline (the historical behavior); > 1 spreads the states of
-  /// the extended descriptor over a `ThreadPool`. The merge order is
-  /// fixed, so results do not depend on this value.
-  size_t num_threads = 1;
-  /// Optional shared worker pool for `CachedRankCS`. When set it takes
-  /// precedence over `num_threads` (whose > 1 case spins up a transient
-  /// pool per call — fine for exploratory queries, wasteful under
-  /// server-style traffic). The pool may be shared by many queries.
+  /// Optional shared worker pool for `CachedRankCS`: when set, the
+  /// states of the extended descriptor are evaluated on it in parallel;
+  /// when null they run inline. The merge order is fixed, so results do
+  /// not depend on it. The pool may be shared by many queries.
   ThreadPool* pool = nullptr;
-  /// Cache namespace for `CachedRankCS`'s `Profile&` overload: entries
-  /// are tagged `{cache_user, profile.version()}` in the
-  /// `ContextQueryTree`, so one shared cache can serve several users
-  /// without mixing their results. The serving layer
-  /// (`storage::ServeQuery`) ignores this and tags entries with the
-  /// pinned snapshot's user id and serving version instead.
-  std::string cache_user;
-  /// When false, `storage::ServeQuery` resolves against the snapshot's
-  /// pointer tree even when an arena-flattened tree is available.
-  /// Ablation switch for the scenario harness (`flat = off`); both
-  /// paths produce identical results, so this only changes cost.
-  bool prefer_flat = true;
   /// Cancellation budget for the whole evaluation. Checked at cheap
   /// cancellation points — the per-state loops of `RankCS` /
   /// `CachedRankCS` and `ThreadPool` task dequeue (an expired queued
@@ -137,6 +114,26 @@ struct QueryResult {
 /// benchmark can swap them.
 using ResolveFn = std::function<std::vector<CandidatePath>(
     const ContextState&, const ResolutionOptions&, AccessCounter*)>;
+
+/// The row filter `RankCS` and the cached merge apply for
+/// `query.selections`: admits a row iff every selection holds on it.
+/// Empty (admits every row) when the query has no selections.
+db::RowFilter SelectionFilter(const db::Relation& relation,
+                              const ContextualQuery& query);
+
+/// One state's scoring pass, shared by `RankCS` and `CachedRankCS`'s
+/// miss path: runs each leaf entry's clause of `candidates` as a
+/// selection over `relation` (through `options.indexes` when set) and
+/// adds every row `eligible` admits (all rows when empty) to `ranker`,
+/// with the entry's score discounted by its candidate's distance under
+/// `options.discount`. Adds the number of ranker additions to
+/// `*scored`. Checks `options.deadline` before each candidate's
+/// selections and returns kDeadlineExceeded once it has passed.
+Status ScoreCandidates(const db::Relation& relation,
+                       const std::vector<CandidatePath>& candidates,
+                       const QueryOptions& options,
+                       const db::RowFilter& eligible, db::Ranker& ranker,
+                       uint64_t* scored);
 
 /// The paper's Rank_CS (Algorithm 2): for every state of the query's
 /// extended descriptor, resolve the most relevant preferences, run each

@@ -1,6 +1,5 @@
 #include "preference/query_cache.h"
 
-#include <algorithm>
 #include <cassert>
 #include <exception>
 
@@ -438,8 +437,9 @@ struct PerStateResult {
 };
 
 PerStateResult EvaluateState(const db::Relation& relation,
-                             const ContextState& s, const ResolveFn& resolve,
-                             const std::string& cache_user,
+                             const ContextState& s,
+                             const FlatResolver& resolver,
+                             const std::string& user_id,
                              uint64_t profile_version, ContextQueryTree& cache,
                              const QueryOptions& options,
                              AccessCounter* counter) {
@@ -453,58 +453,58 @@ PerStateResult EvaluateState(const db::Relation& relation,
         Status::DeadlineExceeded("cached_rank_cs: deadline expired at state");
     return out;
   }
-  out.entry = cache.Lookup(cache_user, s, profile_version, counter);
+  out.entry = cache.Lookup(user_id, s, profile_version, counter);
   if (out.entry != nullptr) return out;
-  // Compute this state's contribution with plain Rank_CS, then
-  // populate the cache.
-  std::vector<CandidatePath> best = resolve(s, options.resolution, counter);
-  // Cancellation point: resolution paid for, selections (the expensive
-  // part) not yet.
-  if (options.deadline.Expired()) {
-    out.status = Status::DeadlineExceeded(
-        "cached_rank_cs: deadline expired before selections");
-    return out;
-  }
+  // Compute this state's contribution with Rank_CS's own scoring pass
+  // (no selection filter: cached lists are keyed by state only, and the
+  // merge re-applies `query.selections`), then populate the cache.
+  std::vector<CandidatePath> best =
+      resolver.ResolveBest(s, options.resolution, counter);
   db::Ranker state_ranker(options.combine);
   state_ranker.ReserveDense(relation.size());
-  for (const CandidatePath& cand : best) {
-    for (const ProfileTree::LeafEntry& entry : cand.entries) {
-      StatusOr<db::Predicate> pred =
-          db::Predicate::Create(relation.schema(), entry.clause.attribute,
-                                entry.clause.op, entry.clause.value);
-      if (!pred.ok()) {
-        out.status = pred.status();
-        return out;
-      }
-      std::vector<db::RowId> rows =
-          options.indexes != nullptr ? options.indexes->Select(*pred)
-          : options.columns != nullptr ? options.columns->Select(*pred)
-                                       : relation.Select(*pred);
-      for (db::RowId row : rows) {
-        state_ranker.Add(row, entry.score);
-      }
-    }
-  }
+  uint64_t scored = 0;
+  out.status = ScoreCandidates(relation, best, options, /*eligible=*/{},
+                               state_ranker, &scored);
+  if (!out.status.ok()) return out;
   out.entry = cache.Put(
-      cache_user, s, profile_version, state_ranker.Ranked(),
+      user_id, s, profile_version, state_ranker.Ranked(),
       std::make_shared<const std::vector<CandidatePath>>(std::move(best)));
   return out;
 }
 
-/// Shared body of the `TreeResolver` / `FlatResolver` overloads: the
-/// cache protocol only needs the environment and a way to resolve one
-/// state, so both resolvers funnel through here and produce identical
-/// cache entries (interchangeable across backends at the same
-/// profile version).
-StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
-                                       const ContextualQuery& query,
-                                       const ContextEnvironment& env,
-                                       const ResolveFn& resolve,
-                                       const std::string& cache_user,
-                                       uint64_t profile_version,
-                                       ContextQueryTree& cache,
-                                       const QueryOptions& options,
-                                       AccessCounter* counter) {
+}  // namespace
+
+QueryResult MergeCachedStates(
+    const db::Relation& relation, const ContextualQuery& query,
+    const std::vector<ContextState>& states,
+    const std::vector<std::shared_ptr<const ContextQueryTree::Entry>>& entries,
+    const QueryOptions& options) {
+  assert(states.size() == entries.size());
+  QueryResult result;
+  std::vector<db::RankedRun> runs;
+  runs.reserve(entries.size());
+  for (size_t i = 0; i < states.size(); ++i) {
+    runs.emplace_back(entries[i]->tuples);
+    // Traces expose plain vectors (explain/CLI consumers mutate and
+    // move them), so the shared set is copied out here, once per state.
+    result.traces.push_back(QueryResult::Trace{
+        states[i], entries[i]->candidates != nullptr
+                       ? *entries[i]->candidates
+                       : std::vector<CandidatePath>{}});
+  }
+  result.tuples = db::MergeRankedRuns(runs, options.combine, options.top_k,
+                                      SelectionFilter(relation, query));
+  return result;
+}
+
+StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
+                                   const ContextualQuery& query,
+                                   const FlatResolver& resolver,
+                                   const std::string& user_id,
+                                   uint64_t profile_version,
+                                   ContextQueryTree& cache,
+                                   const QueryOptions& options,
+                                   AccessCounter* counter) {
   if (options.combine != db::CombinePolicy::kMax &&
       options.combine != db::CombinePolicy::kMin) {
     return Status::InvalidArgument(
@@ -514,21 +514,21 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
   TraceSpan span("cached_rank_cs");
   ScopedLatency latency(&metrics.latency);
 
+  const ContextEnvironment& env = resolver.tree().env();
   std::vector<ContextState> states = query.context.EnumerateStates(env);
   if (states.empty()) states.push_back(ContextState::AllState(env));
   for (const ContextState& s : states) {
     CTXPREF_RETURN_IF_ERROR(s.Validate(env));
   }
 
-  // Evaluate every state, either inline or on a worker pool. Workers
-  // write disjoint slots; the merge below runs serially in
-  // state-enumeration order, so the ranked output and traces are
-  // independent of the thread count.
+  // Evaluate every state, either inline or on the caller's pool.
+  // Workers write disjoint slots; the merge below runs serially in
+  // state-enumeration order, so the ranked output and traces do not
+  // depend on whether (or how wide) a pool ran them.
   std::vector<PerStateResult> per_state(states.size());
-  const size_t threads = std::min(options.num_threads, states.size());
-  if (options.pool == nullptr && threads <= 1) {
+  if (options.pool == nullptr) {
     for (size_t i = 0; i < states.size(); ++i) {
-      per_state[i] = EvaluateState(relation, states[i], resolve, cache_user,
+      per_state[i] = EvaluateState(relation, states[i], resolver, user_id,
                                    profile_version, cache, options, counter);
     }
   } else {
@@ -537,27 +537,20 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
     // plain count decremented under `done_mu`: the waiter only checks
     // it while holding the mutex, so it cannot observe 0 (and destroy
     // the sync state on scope exit) while a worker still holds
-    // references to it. `transient` is declared after the sync state
-    // so its destructor joins the workers before that state goes away.
+    // references to it.
     size_t pending = states.size();
     util::Mutex done_mu(util::LockRank::kCompletion, "CachedRankCS.done_mu");
     util::CondVar done_cv;
-    std::unique_ptr<ThreadPool> transient;
-    ThreadPool* pool = options.pool;
-    if (pool == nullptr) {
-      transient = std::make_unique<ThreadPool>(threads);
-      pool = transient.get();
-    }
     for (size_t i = 0; i < states.size(); ++i) {
       // The task carries the query deadline: if it passes while the
       // task is still queued behind other queries' states, the pool
       // drops the body and runs `on_expired` instead — which must
       // still count the completion down, or the wait below would hang.
-      pool->Submit(
+      options.pool->Submit(
           [&, i] {
             PerStateResult r;
             try {
-              r = EvaluateState(relation, states[i], resolve, cache_user,
+              r = EvaluateState(relation, states[i], resolver, user_id,
                                 profile_version, cache, options, counter);
             } catch (const std::exception& e) {
               r.status = Status::Internal(e.what());
@@ -614,95 +607,6 @@ StatusOr<QueryResult> CachedRankCSImpl(const db::Relation& relation,
     span.Tag("tuples", static_cast<uint64_t>(result.tuples.size()));
   }
   return result;
-}
-
-}  // namespace
-
-QueryResult MergeCachedStates(
-    const db::Relation& relation, const ContextualQuery& query,
-    const std::vector<ContextState>& states,
-    const std::vector<std::shared_ptr<const ContextQueryTree::Entry>>& entries,
-    const QueryOptions& options) {
-  assert(states.size() == entries.size());
-  QueryResult result;
-  std::vector<db::RankedRun> runs;
-  runs.reserve(entries.size());
-  for (size_t i = 0; i < states.size(); ++i) {
-    runs.emplace_back(entries[i]->tuples);
-    // Traces expose plain vectors (explain/CLI consumers mutate and
-    // move them), so the shared set is copied out here, once per state.
-    result.traces.push_back(QueryResult::Trace{
-        states[i], entries[i]->candidates != nullptr
-                       ? *entries[i]->candidates
-                       : std::vector<CandidatePath>{}});
-  }
-  db::RowFilter eligible;
-  if (!query.selections.empty()) {
-    eligible = [&relation, &query](db::RowId row) {
-      for (const db::Predicate& sel : query.selections) {
-        if (!sel.Eval(relation.row(row))) return false;
-      }
-      return true;
-    };
-  }
-  result.tuples =
-      db::MergeRankedRuns(runs, options.combine, options.top_k, eligible);
-  return result;
-}
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const std::string& cache_user,
-                                   uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  return CachedRankCSImpl(
-      relation, query, resolver.tree().env(),
-      [&resolver](const ContextState& s, const ResolutionOptions& opts,
-                  AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      cache_user, profile_version, cache, options, counter);
-}
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const Profile& profile,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  // Single-tenant form: the profile's own mutation counter is the
-  // version tag. Sound only while this same Profile object is both
-  // served and edited in place — see the header comment.
-  return CachedRankCS(relation, query, resolver, options.cache_user,
-                      profile.version(), cache, options, counter);
-}
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const FlatResolver& resolver,
-                                   const std::string& cache_user,
-                                   uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  return CachedRankCSImpl(
-      relation, query, resolver.tree().env(),
-      [&resolver](const ContextState& s, const ResolutionOptions& opts,
-                  AccessCounter* c) { return resolver.ResolveBest(s, opts, c); },
-      cache_user, profile_version, cache, options, counter);
-}
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const FlatResolver& resolver,
-                                   const Profile& profile,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options,
-                                   AccessCounter* counter) {
-  return CachedRankCS(relation, query, resolver, options.cache_user,
-                      profile.version(), cache, options, counter);
 }
 
 }  // namespace ctxpref

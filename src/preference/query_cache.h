@@ -301,60 +301,38 @@ QueryResult MergeCachedStates(
     const std::vector<std::shared_ptr<const ContextQueryTree::Entry>>& entries,
     const QueryOptions& options);
 
-/// Rank_CS with per-state caching through a `ContextQueryTree`.
+/// Rank_CS with per-state caching through a `ContextQueryTree`, over
+/// the arena-flattened profile tree — the one cached evaluation path
+/// (`storage::ServeQuery` calls it for every cached serve).
 ///
 /// Each query state's ranked tuples are cached independently and the
 /// final answer combines the per-state lists under `options.combine`.
 /// Correctness therefore requires an *associative* combine policy —
-/// kMax or kMin; kAvg/kWeighted return InvalidArgument.
+/// kMax or kMin; kAvg/kWeighted return InvalidArgument. A miss scores
+/// its state with `RankCS`'s own pass (`ScoreCandidates`, discount
+/// included), so a cached answer equals the uncached one.
 ///
-/// With `options.num_threads` > 1 the states are evaluated on a worker
-/// pool and merged in state-enumeration order, so the result (tuples
-/// and traces) is bit-identical to the single-threaded run.
+/// Entries are keyed by `(user_id, state, profile_version)` only: the
+/// resolution, combine and discount options are not part of the key,
+/// so one cache serves one `(resolution, combine, discount)` option
+/// set. `query.selections` and `options.top_k` are applied at merge
+/// time and may vary freely.
 ///
-/// The multi-user serving layer (`storage::ServeQuery`) calls the
-/// explicit-version overload with the user id and the *serving*
-/// version of a pinned `ProfileSnapshot`, so cache entries are tagged
-/// `{user, serving version}` and can never be confused across users or
-/// across profile swaps. The `Profile&` overload is the single-tenant
-/// form: it tags entries with `options.cache_user` (default "") and
-/// the profile's own mutation counter `profile.version()` — fine while
-/// the same `Profile` object serves and is edited in place, unsound
-/// across wholesale profile replacement (see docs/serving.md).
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const std::string& cache_user,
-                                   uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options = {},
-                                   AccessCounter* counter = nullptr);
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const TreeResolver& resolver,
-                                   const Profile& profile,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options = {},
-                                   AccessCounter* counter = nullptr);
-
-/// CachedRankCS over the arena-flattened tree — the serving hot path
-/// (`storage::ServeQuery` resolves against the snapshot's
-/// `FlatProfileTree`). Identical semantics to the `TreeResolver`
-/// overloads: same candidate sets, same traces, same cache entries.
+/// With `options.pool` set the states are evaluated on that pool and
+/// merged in state-enumeration order, so the result (tuples and
+/// traces) is bit-identical to the inline run.
+///
+/// The serving layer passes the snapshot's user id and *serving*
+/// version, which is unique across profile swaps, so entries can never
+/// be confused across users or across wholesale profile replacement
+/// (see docs/serving.md). Callers that cache against a bare `Profile`
+/// pass their own namespace and `profile.version()` — sound only while
+/// that one `Profile` object is both served and edited in place.
 StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
                                    const ContextualQuery& query,
                                    const FlatResolver& resolver,
-                                   const std::string& cache_user,
+                                   const std::string& user_id,
                                    uint64_t profile_version,
-                                   ContextQueryTree& cache,
-                                   const QueryOptions& options = {},
-                                   AccessCounter* counter = nullptr);
-
-StatusOr<QueryResult> CachedRankCS(const db::Relation& relation,
-                                   const ContextualQuery& query,
-                                   const FlatResolver& resolver,
-                                   const Profile& profile,
                                    ContextQueryTree& cache,
                                    const QueryOptions& options = {},
                                    AccessCounter* counter = nullptr);

@@ -1,6 +1,7 @@
 #include "storage/profile_store.h"
 
 #include <algorithm>
+#include <cassert>
 #include <filesystem>
 #include <utility>
 
@@ -53,6 +54,7 @@ ProfileSnapshot::ProfileSnapshot(std::string user_id, uint64_t serving_version,
       tree_(std::move(tree)),
       flat_(std::move(flat)),
       publish_nanos_(MonotonicNanos()) {
+  assert(flat_ != nullptr);
   ServingMetrics::Get().live_snapshots.Add(1);
 }
 
@@ -120,8 +122,9 @@ Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
   if (!tree.ok()) return tree.status();
   auto tree_ptr = std::make_shared<const ProfileTree>(std::move(*tree));
   // Flatten into the read-optimized arena while still off to the side
-  // — publish cost, not query cost. The pointer tree stays in the
-  // snapshot as the mutation-friendly reference form.
+  // — publish cost, not query cost. Serving resolves only on the
+  // arena; the pointer tree stays in the snapshot as the reference form
+  // (the paper's size model and the test oracle read it).
   auto flat = std::make_shared<const FlatProfileTree>(
       FlatProfileTree::Build(*tree_ptr));
   const uint64_t version =

@@ -22,8 +22,9 @@ class CoherenceLog;
 namespace ctxpref::storage {
 
 /// One immutable published version of a user's profile: the profile
-/// itself, its built `ProfileTree`, and the store-wide *serving
-/// version* it was published under. Snapshots are handed out as
+/// itself, its built `ProfileTree` and that tree's arena-flattened
+/// `FlatProfileTree`, and the store-wide *serving version* it was
+/// published under. Snapshots are handed out as
 /// `std::shared_ptr<const ProfileSnapshot>`; a reader that pins one
 /// keeps ranking against exactly this version no matter how many
 /// newer versions writers publish meanwhile (RCU-style copy-on-write;
@@ -40,7 +41,7 @@ class ProfileSnapshot {
   ProfileSnapshot(std::string user_id, uint64_t serving_version,
                   std::shared_ptr<const Profile> profile,
                   std::shared_ptr<const ProfileTree> tree,
-                  std::shared_ptr<const FlatProfileTree> flat = nullptr);
+                  std::shared_ptr<const FlatProfileTree> flat);
   ~ProfileSnapshot();
 
   ProfileSnapshot(const ProfileSnapshot&) = delete;
@@ -57,11 +58,10 @@ class ProfileSnapshot {
   }
   const std::shared_ptr<const ProfileTree>& tree_ptr() const { return tree_; }
   /// The arena-flattened read-optimized form of `tree()`, built once at
-  /// publish time; the serving layer resolves against it (see
-  /// docs/serving.md). Null only for snapshots constructed manually
-  /// without one — `ProfileStore` always publishes with the arena.
-  /// Immutable after publish like everything else in the snapshot, so
-  /// readers need no lock (and it introduces no lock rank).
+  /// publish time; the serving layer resolves against it and nothing
+  /// else (see docs/serving.md). Never null. Immutable after publish
+  /// like everything else in the snapshot, so readers need no lock (and
+  /// it introduces no lock rank).
   const FlatProfileTree* flat_tree() const { return flat_.get(); }
   const std::shared_ptr<const FlatProfileTree>& flat_tree_ptr() const {
     return flat_;

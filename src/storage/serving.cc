@@ -89,28 +89,12 @@ StatusOr<QueryResult> ServeQuery(const ProfileSnapshot& snapshot,
                                  ContextQueryTree* cache,
                                  const QueryOptions& options,
                                  AccessCounter* counter) {
-  // Resolve against the snapshot's arena-flattened tree when it has
-  // one (ProfileStore always publishes with it); the pointer tree is
-  // the fallback for manually-built snapshots. Both produce identical
-  // results — the differential tests pin that down — so this is purely
-  // a hot-path choice. `options.prefer_flat = false` (the harness's
-  // `flat = off` ablation) forces the pointer-tree fallback.
-  const FlatProfileTree* flat =
-      options.prefer_flat ? snapshot.flat_tree() : nullptr;
-  if (flat != nullptr) {
-    FlatResolver resolver(flat);
-    if (cache != nullptr) {
-      // Tag entries with the snapshot's own identity, never
-      // options.cache_user / Profile::version(): the serving version is
-      // unique across swaps, so a stale entry can never be mistaken for
-      // a current one.
-      return CachedRankCS(relation, query, resolver, snapshot.user_id(),
-                          snapshot.serving_version(), *cache, options,
-                          counter);
-    }
-    return RankCS(relation, query, resolver, options, counter);
-  }
-  TreeResolver resolver(&snapshot.tree());
+  // Resolve against the snapshot's arena-flattened tree, the one
+  // serving form (every snapshot carries it). Cached entries are tagged
+  // with the snapshot's own identity: the serving version is unique
+  // across swaps, so a stale entry can never be mistaken for a current
+  // one.
+  FlatResolver resolver(snapshot.flat_tree());
   if (cache != nullptr) {
     return CachedRankCS(relation, query, resolver, snapshot.user_id(),
                         snapshot.serving_version(), *cache, options, counter);
@@ -274,8 +258,6 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
           query.selections};
       QueryOptions truncated_options = opts.query;
       truncated_options.top_k = opts.truncated_top_k;
-      truncated_options.num_threads = 1;
-      truncated_options.pool = nullptr;
       StatusOr<QueryResult> result =
           ServeQuery(*pin, relation, truncated_query, /*cache=*/nullptr,
                      truncated_options, counter);

@@ -89,13 +89,13 @@ struct ServedQuery {
 };
 
 /// The multi-user serving entry point: pins `user_id`'s current
-/// snapshot, ranks `query` against that one immutable profile-tree
-/// version, and returns the answer together with the snapshot it came
-/// from. With `cache` non-null the per-state results go through
-/// `CachedRankCS`, tagged `{user_id, serving version}` — safe across
-/// concurrent profile swaps (see docs/serving.md); with `cache` null
-/// it is a plain uncached `RankCS`. `options.cache_user` is ignored:
-/// the snapshot's user id is authoritative here.
+/// snapshot, ranks `query` against that one immutable profile version
+/// (resolving on the snapshot's arena-flattened tree), and returns the
+/// answer together with the snapshot it came from. With `cache`
+/// non-null the per-state results go through `CachedRankCS`, tagged
+/// `{user_id, serving version}` — safe across concurrent profile swaps
+/// (see docs/serving.md); with `cache` null it is a plain uncached
+/// `RankCS`.
 StatusOr<ServedQuery> ServeQuery(const ProfileStore& store,
                                  const std::string& user_id,
                                  const db::Relation& relation,

@@ -5,6 +5,9 @@
 #include "context/parser.h"
 #include "preference/contextual_query.h"
 #include "preference/profile_tree.h"
+#include "preference/query_cache.h"
+#include "storage/profile_store.h"
+#include "storage/serving.h"
 #include "tests/test_util.h"
 #include "workload/poi_dataset.h"
 
@@ -139,6 +142,61 @@ TEST_F(DiscountedRankTest, DiscountReordersMixedDistanceAnswers) {
   // Brewery applies at distance 6 (all,all,all vs detailed Perama...):
   // 0.9·2^-6 ≈ 0.014; cafeteria exact keeps 0.6 and wins.
   EXPECT_EQ(top_type(dimmed), "cafeteria");
+}
+
+TEST_F(DiscountedRankTest, CachedServingAppliesTheDiscount) {
+  // The cached paths score a miss with Rank_CS's own pass, so the
+  // discount holds on a miss, on the hit that follows it, and through
+  // the serving layer: each answer equals uncached Rank_CS over the
+  // pointer tree.
+  Profile p(env_);
+  ASSERT_OK(p.Insert(
+      Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.9)));
+  StatusOr<ProfileTree> tree = ProfileTree::Build(p);
+  ASSERT_OK(tree.status());
+  TreeResolver pointer_resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
+  storage::ProfileStore store(env_);
+  ASSERT_OK(store.CreateUser("u", p));
+
+  // The friends preference covers this state at distance 5 (see
+  // DistantCoverIsDimmed).
+  ContextualQuery q;
+  q.context = ExtendedDescriptor::FromComposite(*ParseCompositeDescriptor(
+      *env_,
+      "location = Plaka and temperature = warm and "
+      "accompanying_people = friends"));
+
+  for (ScoreDiscount discount :
+       {ScoreDiscount::kInverseDistance, ScoreDiscount::kExponential}) {
+    SCOPED_TRACE(ScoreDiscountToString(discount));
+    QueryOptions options;
+    options.discount = discount;
+    StatusOr<QueryResult> want =
+        RankCS(poi_->relation, q, pointer_resolver, options);
+    ASSERT_OK(want.status());
+    ASSERT_FALSE(want->tuples.empty());
+    EXPECT_DOUBLE_EQ(want->tuples[0].score, ApplyDiscount(discount, 0.9, 5.0));
+
+    // Cache entries are keyed by (user, state, version) only, so each
+    // discount gets its own cache.
+    ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
+    ContextQueryTree serving_cache(env_, Ordering::Identity(env_->size()));
+    for (const char* pass : {"miss", "hit"}) {
+      StatusOr<QueryResult> cached = CachedRankCS(
+          poi_->relation, q, flat_resolver, "", p.version(), cache, options);
+      ASSERT_OK(cached.status());
+      EXPECT_EQ(cached->tuples, want->tuples) << "CachedRankCS " << pass;
+
+      StatusOr<storage::ServedQuery> served = storage::ServeQuery(
+          store, "u", poi_->relation, q, &serving_cache, options);
+      ASSERT_OK(served.status());
+      EXPECT_EQ(served->result.tuples, want->tuples) << "ServeQuery " << pass;
+    }
+    EXPECT_EQ(cache.hits(), 1u);
+    EXPECT_EQ(serving_cache.hits(), 1u);
+  }
 }
 
 }  // namespace

@@ -115,10 +115,14 @@ TEST_F(IntegrationTest, FullPipeline) {
   ASSERT_OK(direct.status());
   ASSERT_FALSE(direct->tuples.empty());
 
-  StatusOr<QueryResult> cached1 = CachedRankCS(*relation, query, resolver,
-                                               **alice, cache, options);
-  StatusOr<QueryResult> cached2 = CachedRankCS(*relation, query, resolver,
-                                               **alice, cache, options);
+  const FlatProfileTree flat = FlatProfileTree::Build(**tree);
+  FlatResolver flat_resolver(&flat);
+  StatusOr<QueryResult> cached1 =
+      CachedRankCS(*relation, query, flat_resolver, "", (*alice)->version(),
+                   cache, options);
+  StatusOr<QueryResult> cached2 =
+      CachedRankCS(*relation, query, flat_resolver, "", (*alice)->version(),
+                   cache, options);
   ASSERT_OK(cached1.status());
   ASSERT_OK(cached2.status());
   EXPECT_EQ(cached1->tuples, direct->tuples);
@@ -127,8 +131,8 @@ TEST_F(IntegrationTest, FullPipeline) {
 
   // The serving layer answers the same query by pinning user0's
   // current snapshot; its cache entries are tagged with the snapshot's
-  // serving version, so they never mix with the Profile&-overload ones
-  // above.
+  // serving version, so they never mix with the ("", profile version)
+  // ones above.
   StatusOr<storage::ServedQuery> served =
       storage::ServeQuery(store, "user0", *relation, query, &cache, options);
   ASSERT_OK(served.status());

@@ -291,7 +291,8 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
       Pref(*env_, "location = Plaka", "type", "museum", 0.8)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver resolver(&flat);
 
   // An exploratory descriptor that enumerates several states, so the
   // worker pool actually has parallel work.
@@ -303,18 +304,19 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
   ContextualQuery q;
   q.context = *ecod;
 
+  // No pool: every state is evaluated inline.
   QueryOptions serial;
-  serial.num_threads = 1;
   ContextQueryTree cold1(env_, Ordering::Identity(env_->size()), 64);
-  StatusOr<QueryResult> one =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold1, serial);
+  StatusOr<QueryResult> one = CachedRankCS(poi_->relation, q, resolver, "",
+                                           profile.version(), cold1, serial);
   ASSERT_OK(one.status());
 
+  ThreadPool eight_workers(8);
   QueryOptions parallel = serial;
-  parallel.num_threads = 8;
+  parallel.pool = &eight_workers;
   ContextQueryTree cold8(env_, Ordering::Identity(env_->size()), 64);
-  StatusOr<QueryResult> eight =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold8, parallel);
+  StatusOr<QueryResult> eight = CachedRankCS(
+      poi_->relation, q, resolver, "", profile.version(), cold8, parallel);
   ASSERT_OK(eight.status());
 
   EXPECT_EQ(eight->tuples, one->tuples);
@@ -332,8 +334,8 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
   }
 
   // And a warm parallel run over the now-populated cache agrees too.
-  StatusOr<QueryResult> warm =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold8, parallel);
+  StatusOr<QueryResult> warm = CachedRankCS(
+      poi_->relation, q, resolver, "", profile.version(), cold8, parallel);
   ASSERT_OK(warm.status());
   EXPECT_EQ(warm->tuples, one->tuples);
   EXPECT_GE(cold8.Stats().hits, 1u);
@@ -343,8 +345,8 @@ TEST_F(QueryCacheConcurrentTest, ParallelCachedRankCSIsDeterministic) {
   QueryOptions pooled = serial;
   pooled.pool = &shared;
   ContextQueryTree cold_pool(env_, Ordering::Identity(env_->size()), 64);
-  StatusOr<QueryResult> via_pool =
-      CachedRankCS(poi_->relation, q, resolver, profile, cold_pool, pooled);
+  StatusOr<QueryResult> via_pool = CachedRankCS(
+      poi_->relation, q, resolver, "", profile.version(), cold_pool, pooled);
   ASSERT_OK(via_pool.status());
   EXPECT_EQ(via_pool->tuples, one->tuples);
 }

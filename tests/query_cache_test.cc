@@ -267,6 +267,8 @@ TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
   TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
@@ -280,14 +282,14 @@ TEST_F(QueryCacheTest, CachedRankCSMatchesUncachedAndHits) {
   StatusOr<QueryResult> uncached = RankCS(poi_->relation, q, resolver);
   ASSERT_OK(uncached.status());
 
-  StatusOr<QueryResult> first =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+  StatusOr<QueryResult> first = CachedRankCS(
+      poi_->relation, q, flat_resolver, "", profile.version(), cache);
   ASSERT_OK(first.status());
   EXPECT_EQ(first->tuples, uncached->tuples);
   EXPECT_EQ(cache.hits(), 0u);
 
-  StatusOr<QueryResult> second =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+  StatusOr<QueryResult> second = CachedRankCS(
+      poi_->relation, q, flat_resolver, "", profile.version(), cache);
   ASSERT_OK(second.status());
   EXPECT_EQ(second->tuples, uncached->tuples);
   EXPECT_EQ(cache.hits(), 1u);
@@ -301,7 +303,8 @@ TEST_F(QueryCacheTest, CacheHitProducesIdenticalTrace) {
       Pref(*env_, "accompanying_people = friends", "type", "brewery", 0.7)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod = ParseExtendedDescriptor(
@@ -310,11 +313,11 @@ TEST_F(QueryCacheTest, CacheHitProducesIdenticalTrace) {
   ContextualQuery q;
   q.context = *ecod;
 
-  StatusOr<QueryResult> miss =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+  StatusOr<QueryResult> miss = CachedRankCS(
+      poi_->relation, q, flat_resolver, "", profile.version(), cache);
   ASSERT_OK(miss.status());
-  StatusOr<QueryResult> hit =
-      CachedRankCS(poi_->relation, q, resolver, profile, cache);
+  StatusOr<QueryResult> hit = CachedRankCS(
+      poi_->relation, q, flat_resolver, "", profile.version(), cache);
   ASSERT_OK(hit.status());
   EXPECT_GE(cache.hits(), 1u);
 
@@ -346,7 +349,8 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
       Pref(*env_, "temperature = hot", "type", "park", 0.9)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod =
@@ -354,16 +358,18 @@ TEST_F(QueryCacheTest, CachedRankCSRespectsProfileVersion) {
   ContextualQuery q;
   q.context = *ecod;
 
-  ASSERT_OK(
-      CachedRankCS(poi_->relation, q, resolver, profile, cache).status());
+  ASSERT_OK(CachedRankCS(poi_->relation, q, flat_resolver, "",
+                         profile.version(), cache)
+                .status());
   // Mutate the profile: the cached state is now stale.
   ASSERT_OK(profile.Insert(
       Pref(*env_, "temperature = hot", "type", "museum", 0.8)));
   StatusOr<ProfileTree> tree2 = ProfileTree::Build(profile);
   ASSERT_OK(tree2.status());
-  TreeResolver resolver2(&*tree2);
-  StatusOr<QueryResult> fresh =
-      CachedRankCS(poi_->relation, q, resolver2, profile, cache);
+  const FlatProfileTree flat2 = FlatProfileTree::Build(*tree2);
+  FlatResolver flat_resolver2(&flat2);
+  StatusOr<QueryResult> fresh = CachedRankCS(
+      poi_->relation, q, flat_resolver2, "", profile.version(), cache);
   ASSERT_OK(fresh.status());
   // The new museum preference must show up (stale entry not served).
   const size_t type_col = *poi_->relation.schema().IndexOf("type");
@@ -381,15 +387,16 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
   ASSERT_OK(profile.Insert(Pref(*env_, "*", "type", "park", 0.9)));
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   ContextQueryTree cache = MakeCache(16);
 
   StatusOr<ExtendedDescriptor> ecod =
       ParseExtendedDescriptor(*env_, "temperature = hot");
   ContextualQuery unrestricted;
   unrestricted.context = *ecod;
-  ASSERT_OK(CachedRankCS(poi_->relation, unrestricted, resolver, profile,
-                         cache)
+  ASSERT_OK(CachedRankCS(poi_->relation, unrestricted, flat_resolver, "",
+                         profile.version(), cache)
                 .status());
 
   // Same context state, now with a selection: served from cache but
@@ -401,7 +408,8 @@ TEST_F(QueryCacheTest, CachedRankCSAppliesSelectionsPostCache) {
   ASSERT_OK(sel.status());
   restricted.selections.push_back(*sel);
   StatusOr<QueryResult> result =
-      CachedRankCS(poi_->relation, restricted, resolver, profile, cache);
+      CachedRankCS(poi_->relation, restricted, flat_resolver, "",
+                   profile.version(), cache);
   ASSERT_OK(result.status());
   EXPECT_GE(cache.hits(), 1u);
   const size_t loc_col = *poi_->relation.schema().IndexOf("location");
@@ -414,13 +422,14 @@ TEST_F(QueryCacheTest, CachedRankCSRejectsNonAssociativePolicies) {
   Profile profile(env_);
   StatusOr<ProfileTree> tree = ProfileTree::Build(profile);
   ASSERT_OK(tree.status());
-  TreeResolver resolver(&*tree);
+  const FlatProfileTree flat = FlatProfileTree::Build(*tree);
+  FlatResolver flat_resolver(&flat);
   ContextQueryTree cache = MakeCache();
   ContextualQuery q;
   QueryOptions options;
   options.combine = db::CombinePolicy::kAvg;
-  EXPECT_TRUE(CachedRankCS(poi_->relation, q, resolver, profile, cache,
-                           options)
+  EXPECT_TRUE(CachedRankCS(poi_->relation, q, flat_resolver, "",
+                           profile.version(), cache, options)
                   .status()
                   .IsInvalidArgument());
 }

@@ -342,7 +342,6 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
   TreeResolver pointer_resolver(&*tree);
   FlatResolver flat_resolver(&flat);
   const db::Relation relation = MakeRelation();
-  const db::ColumnarProjection columns(relation);
 
   for (DistanceKind kind :
        {DistanceKind::kHierarchy, DistanceKind::kJaccard}) {
@@ -368,12 +367,11 @@ TEST_P(ServingDifferentialTest, FlatTreeMatchesPointerTreeExhaustively) {
             << label << " exact-lookup presence";
       }
     }
-    // Full Rank_CS, pointer/row-store vs flat/columnar: layout *and*
-    // scan path both swapped, answers still identical.
+    // Full Rank_CS, pointer tree vs flat arena: layout swapped,
+    // answers still identical.
     QueryOptions options;
     options.resolution.distance = kind;
     QueryOptions flat_options = options;
-    flat_options.columns = &columns;
     for (const ContextState& q : world) {
       StatusOr<CompositeDescriptor> cod =
           CompositeDescriptor::ForState(*env, q);

@@ -11,10 +11,8 @@
 // immutable snapshots under a store-owned *serving* version that is
 // monotone across reloads and never reused, `storage::ServeQuery` tags
 // cache entries with it, and every publish eagerly invalidates the
-// user's entries. `serving.h` only exists on the fixed tree, so this
-// file gates on it: without the fix it compiles against the legacy
-// API and FAILS at runtime (the stale hit below); with the fix it
-// exercises the serving path and passes.
+// user's entries. The tests below serve through that layer and pin
+// the answer to the published profile across the swap.
 
 #include <gtest/gtest.h>
 
@@ -22,16 +20,11 @@
 
 #include "context/parser.h"
 #include "preference/query_cache.h"
-#include "preference/resolution.h"
 #include "storage/profile_io.h"
 #include "storage/profile_store.h"
+#include "storage/serving.h"
 #include "tests/test_util.h"
 #include "workload/poi_dataset.h"
-
-#if __has_include("storage/serving.h")
-#include "storage/serving.h"
-#define CTXPREF_HAS_SERVING_LAYER 1
-#endif
 
 namespace ctxpref {
 namespace {
@@ -86,7 +79,6 @@ TEST_F(StaleCacheReproTest, ReloadUserMustNotServeStaleCachedResults) {
   ASSERT_OK(store.CreateUser("u", MuseumProfile(0.9)));
   ContextQueryTree cache(env_, Ordering::Identity(env_->size()));
 
-#ifdef CTXPREF_HAS_SERVING_LAYER
   store.AttachQueryCache(&cache);
   auto serve = [&]() -> StatusOr<QueryResult> {
     StatusOr<storage::ServedQuery> served =
@@ -94,18 +86,6 @@ TEST_F(StaleCacheReproTest, ReloadUserMustNotServeStaleCachedResults) {
     if (!served.ok()) return served.status();
     return std::move(served->result);
   };
-#else
-  // Legacy path: rank through the store's mutable profile + tree, with
-  // entries tagged by Profile::version().
-  auto serve = [&]() -> StatusOr<QueryResult> {
-    auto profile = store.GetProfile("u");
-    CTXPREF_RETURN_IF_ERROR(profile.status());
-    auto tree = store.GetTree("u");
-    CTXPREF_RETURN_IF_ERROR(tree.status());
-    TreeResolver resolver(*tree);
-    return CachedRankCS(poi_->relation, query_, resolver, **profile, cache);
-  };
-#endif
 
   StatusOr<QueryResult> before = serve();
   ASSERT_OK(before.status());
@@ -130,7 +110,6 @@ TEST_F(StaleCacheReproTest, ReloadUserMustNotServeStaleCachedResults) {
       << "cache served a result from a retired profile version";
 }
 
-#ifdef CTXPREF_HAS_SERVING_LAYER
 TEST_F(StaleCacheReproTest, VersionTagsProtectEvenWithoutEagerInvalidation) {
   // Defense in depth: with no cache attached to the store (so no
   // InvalidateUser on publish), the serving-version tag alone must
@@ -159,7 +138,6 @@ TEST_F(StaleCacheReproTest, VersionTagsProtectEvenWithoutEagerInvalidation) {
             before->snapshot->serving_version());
   EXPECT_GE(cache.invalidations(), 1u);  // Dropped on touch.
 }
-#endif
 
 }  // namespace
 }  // namespace ctxpref
