@@ -199,10 +199,9 @@ if [[ "${RUN_BENCH}" == 1 ]]; then
     build-bench/bench_overload.json
 
   echo "==== bench gate (coherence hit rate, replicated vs single-shared) ===="
-  # The binary's own bars (phase A all-hit, torn == 0, refuse path
-  # exercised, lag quiesces to 0) fail via its exit code on any core
-  # count; the hit-rate speedup is a parallelism claim, so the ratio
-  # gate needs real cores.
+  # The binary's own bar (every hit-rate lookup hits) fails via its
+  # exit code on any core count; the hit-rate speedup is a parallelism
+  # claim, so the ratio gate needs real cores.
   ./build-bench/bench/bench_coherence \
     --json_out=build-bench/bench_coherence.json
   if [[ "$(nproc 2>/dev/null || echo 1)" -gt 1 ]]; then

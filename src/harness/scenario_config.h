@@ -25,8 +25,7 @@ namespace ctxpref::harness {
   X(cow)                          \
   X(tie_break)                    \
   X(resilience)                   \
-  X(shed)                         \
-  X(coherence)
+  X(shed)
 
 /// One bool per ablation flag, all on by default (the full system).
 /// `ablation.<flag> = off` in a config file turns a subsystem off.
@@ -110,16 +109,15 @@ struct ScenarioConfig {
   size_t max_in_flight = 64;      ///< Admission policy when shed is on.
 
   // ---- Cache --------------------------------------------------------
-  size_t cache_capacity = 0;  ///< Entries; 0 = unbounded. Bounded
+  size_t cache_capacity = 0;  ///< Entries per replica; 0 = unbounded. Bounded
                               ///< capacities + parallel=on can make
                               ///< eviction order (and hence hit counts)
                               ///< nondeterministic — see docs/scenarios.md.
-  /// Query-cache replicas when `ablation.coherence` is on: the runner
-  /// builds a `ReplicatedQueryCache` with this many replicas kept
-  /// coherent by the log-based scheme (docs/coherence.md), serving each
-  /// query through replica `query_index % coherence_replicas` with an
-  /// inline consume step — deterministic, so the CSV contract holds.
-  /// 1 behaves like the single shared cache (same hits, same /vop).
+  /// Query-cache replicas when `ablation.cache` is on: the runner
+  /// builds a `ReplicatedQueryCache` with this many retain-stale trees
+  /// (docs/coherence.md) and serves each query through replica
+  /// `query_index % coherence_replicas` — deterministic, so the CSV
+  /// contract holds. 1 is the single shared cache.
   size_t coherence_replicas = 1;
 
   // ---- Event windows ------------------------------------------------

@@ -250,39 +250,20 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     if (!st.ok()) return st;
   }
 
-  // cache=off: serve uncached. Retain-stale mode keeps superseded
-  // entries so the resilient ladder's stale rung has something to find.
-  //
-  // coherence=on (the default): the cache is a ReplicatedQueryCache
-  // kept coherent by the log-based scheme — the store appends one
-  // invalidation record per publish instead of touching cache locks,
-  // and each query drains the log into its replica (inline consume)
-  // before serving through that replica's tree. Queries round-robin
-  // across `coherence_replicas` deterministically, so the CSV contract
-  // holds; with 1 replica the hit stream matches the single shared
-  // cache. coherence=off: the pre-log eager-invalidation wiring.
-  std::optional<ContextQueryTree> cache;
+  // cache=off: serve uncached. Otherwise the cache is a
+  // ReplicatedQueryCache of `coherence_replicas` retain-stale trees (one
+  // replica is the single shared cache): superseded entries stay for
+  // the resilient ladder's stale rung, exact version keys keep fresh
+  // hits correct, and in-place Put plus LRU reclaim memory — no
+  // invalidation hook on the store. Queries round-robin across the
+  // replicas deterministically, so the CSV contract holds.
   std::optional<ReplicatedQueryCache> replicas;
   if (cfg.ablation.cache) {
-    if (cfg.ablation.coherence) {
-      ReplicatedQueryCache::Options ropt;
-      ropt.num_replicas = cfg.coherence_replicas;
-      ropt.capacity_per_replica = cfg.cache_capacity;
-      // Retention matches the resilient ladder's default stale reach,
-      // so consume-step reclamation never drops an entry the stale
-      // rung could still serve.
-      ropt.staleness_window = storage::ServeOptions{}.max_stale_versions;
-      ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
-      replicas.emplace(poi->env, Ordering::Identity(env.size()), ropt);
-      store.AttachCoherenceLog(&replicas->log());
-    } else {
-      cache.emplace(poi->env, Ordering::Identity(env.size()),
-                    cfg.cache_capacity);
-      cache->SetRetainStale(true);
-      store.AttachQueryCache(&*cache);
-    }
+    ReplicatedQueryCache::Options ropt;
+    ropt.num_replicas = cfg.coherence_replicas;
+    ropt.capacity_per_replica = cfg.cache_capacity;
+    replicas.emplace(poi->env, Ordering::Identity(env.size()), ropt);
   }
-  ContextQueryTree* cache_ptr = cache.has_value() ? &*cache : nullptr;
 
   // parallel=off: single-threaded evaluation, no shared pool.
   const bool parallel = cfg.ablation.parallel && cfg.threads > 1;
@@ -439,7 +420,6 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
         if (idx < copy.size()) (void)copy.UpdateScore(idx, score);
         Status st = store.PublishProfile(uid, std::move(copy));
         if (!st.ok()) return st;
-        if (cache_ptr != nullptr) cache_ptr->InvalidateAll();
         if (replicas.has_value()) {
           for (size_t r = 0; r < replicas->num_replicas(); ++r) {
             replicas->replica(r).InvalidateAll();
@@ -522,17 +502,12 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
     const bool doomed =
         deadline_at > 0 && start_service + cfg.service_micros > deadline_at;
 
-    // Replicated serving: queries round-robin across replicas; the
-    // inline consume step drains the coherence log into this replica
-    // (advancing its clock past every published version) before the
-    // serve reads through its tree — the harness-shaped form of
-    // ServeQueryReplicated's consume-then-gate flow, kept deterministic
-    // by indexing on the query count instead of the thread.
-    ContextQueryTree* qcache = cache_ptr;
+    // Queries round-robin across replicas, indexed on the query count
+    // instead of the thread so the run stays deterministic.
+    ContextQueryTree* qcache = nullptr;
     if (replicas.has_value()) {
-      const size_t r = (res.queries - 1) % replicas->num_replicas();
-      replicas->Consume(r);
-      qcache = &replicas->replica(r);
+      qcache = &replicas->replica((res.queries - 1) %
+                                  replicas->num_replicas());
     }
 
     // Cache-stat deltas across this serve, for the hit-aware virtual
@@ -666,12 +641,15 @@ StatusOr<ScenarioResult> WorkloadRunner::Run(std::string_view variant) const {
   const uint64_t wall_ns = MonotonicNanos() - wall_start;
 
   res.virtual_micros = serve_clock.NowMicros() - t0;
-  if (cache_ptr != nullptr) {
-    const CacheStats stats = cache_ptr->Stats();
-    res.cache_hits = stats.hits;
-    res.cache_misses = stats.misses;
-  } else if (replicas.has_value()) {
+  if (replicas.has_value()) {
     const CacheStats stats = replicas->Stats();
+    // Every lookup is exactly one hit or one miss, in every replica.
+    if (stats.lookups != stats.hits + stats.misses) {
+      return Status::Internal(
+          "cache stats broke lookups == hits + misses: " +
+          std::to_string(stats.lookups) + " != " +
+          std::to_string(stats.hits) + " + " + std::to_string(stats.misses));
+    }
     res.cache_hits = stats.hits;
     res.cache_misses = stats.misses;
   }

@@ -344,43 +344,6 @@ size_t ContextQueryTree::InvalidateUser(const std::string& user) {
   return dropped;
 }
 
-size_t ContextQueryTree::InvalidateUserBelow(const std::string& user,
-                                             uint64_t version) {
-  CacheMetrics& metrics = CacheMetrics::Get();
-  TraceSpan span("query_cache.invalidate_user_below");
-  size_t dropped = 0;
-  for (std::unique_ptr<Shard>& shard : shards_) {
-    util::MutexLock lock(shard->mu);
-    if (shard->roots.find(user) == shard->roots.end()) continue;
-    // The LRU list is the only flat enumeration of a user's cached
-    // states (trie leaves do not store their own path), so collect the
-    // user's keys first, then check each leaf's version tag.
-    std::vector<ContextState> states;
-    for (const EntryKey& key : shard->lru) {
-      if (key.user == user) states.push_back(key.state);
-    }
-    size_t in_shard = 0;
-    for (const ContextState& state : states) {
-      Node* node = Descend(*shard, user, state, /*create=*/false, nullptr);
-      if (node == nullptr || node->leaf == nullptr) continue;
-      if (node->leaf->version >= version) continue;  // Inside the window.
-      shard->lru.erase(node->leaf->lru_it);
-      RemovePath(*shard, user, state);
-      --shard->size;
-      ++in_shard;
-    }
-    shard->invalidations += in_shard;
-    dropped += in_shard;
-  }
-  if (dropped > 0) {
-    metrics.invalidations.Increment(dropped);
-  }
-  if (span.active()) {
-    span.Tag("dropped", static_cast<uint64_t>(dropped));
-  }
-  return dropped;
-}
-
 void ContextQueryTree::InvalidateAll() {
   for (std::unique_ptr<Shard>& shard : shards_) {
     util::MutexLock lock(shard->mu);

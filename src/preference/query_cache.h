@@ -57,10 +57,14 @@ struct CacheStats {
 /// — for server-side multi-user serving that is the `ProfileStore`
 /// *serving* version of the published `ProfileSnapshot`, which is
 /// monotone across reloads and user re-creation (`Profile::version()`
-/// restarts on reload and can collide; see docs/serving.md) — and are
-/// dropped on touch when the version moved, or eagerly by
-/// `InvalidateUser` when a new profile version is published. Beyond the
-/// shard capacity, entries are evicted LRU.
+/// restarts on reload and can collide; see docs/serving.md). Each
+/// `(user, state)` has one slot: `Put` overwrites it in place, and
+/// beyond the shard capacity the least recently used slot is evicted.
+/// A `Lookup` at another version misses; by default it also drops the
+/// skewed entry, while in retain-stale mode the entry stays for
+/// `LookupAtOrBefore` (the serving ladder's stale rung). Eager
+/// `InvalidateUser` on publish is hygiene only: version tags alone keep
+/// answers correct (docs/coherence.md).
 ///
 /// The single-user entry points (no user id) are sugar for the empty
 /// user id "".
@@ -181,16 +185,6 @@ class ContextQueryTree {
   /// lookups: readers holding entry snapshots keep them.
   size_t InvalidateUser(const std::string& user);
 
-  /// Drops `user`'s cached entries whose version tag is strictly below
-  /// `version`, leaving newer (and equal) entries in place — the
-  /// bounded-staleness form of `InvalidateUser` the log-based coherence
-  /// consumer applies: a record `{user, v}` with a retention window `w`
-  /// becomes `InvalidateUserBelow(user, v - w)`, so entries inside the
-  /// window survive for `LookupAtOrBefore` while everything older is
-  /// reclaimed. Returns the number of entries dropped (each counted as
-  /// an invalidation, not a miss).
-  size_t InvalidateUserBelow(const std::string& user, uint64_t version);
-
   /// Drops every cached entry of every user (counters are kept).
   void InvalidateAll();
 
@@ -200,10 +194,12 @@ class ContextQueryTree {
   /// instead of dropping it (it remains reachable for
   /// `LookupAtOrBefore`), and (b) `ProfileStore::BuildAndPublish`
   /// skips its eager `InvalidateUser` — version tags alone keep fresh
-  /// serving correct, LRU keeps memory bounded. `RemoveUser` still
-  /// invalidates unconditionally: a deleted user's results must never
-  /// be served at any staleness. Off by default (eager invalidation,
-  /// the PR 5 behavior).
+  /// serving correct, in-place `Put` and LRU keep memory bounded.
+  /// `RemoveUser` still invalidates an attached cache, as hygiene: the
+  /// stale rung never reaches below the re-created user's creation
+  /// version, so a deleted user's entries cannot answer either way.
+  /// `ReplicatedQueryCache` replicas are always retain-stale. Off by
+  /// default (eager invalidation).
   void SetRetainStale(bool on) {
     retain_stale_.store(on, std::memory_order_relaxed);
   }

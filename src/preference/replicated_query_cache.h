@@ -1,150 +1,38 @@
 #ifndef CTXPREF_PREFERENCE_REPLICATED_QUERY_CACHE_H_
 #define CTXPREF_PREFERENCE_REPLICATED_QUERY_CACHE_H_
 
-#include <atomic>
-#include <cstdint>
-#include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "preference/query_cache.h"
-#include "util/mutex.h"
 
 namespace ctxpref {
 
-class ThreadPool;
-
-/// Log-based cache coherence for replicated query caches
-/// (docs/coherence.md; ROADMAP item 2).
+/// N private retain-stale `ContextQueryTree` replicas, so serving
+/// threads read their own tree with no cross-thread cache contention
+/// (docs/coherence.md).
 ///
-/// The eager scheme (`ProfileStore` calling
-/// `ContextQueryTree::InvalidateUser` on every publish) makes every
-/// writer take every cache's shard locks — fine for one shared cache,
-/// a global serialization point once the query tree is replicated
-/// across serving threads. `CoherenceLog` decouples them: a writer
-/// appends one `{user, serving_version}` invalidation record to its
-/// own append-only log buffer (one mutex, no cache locks), and each
-/// replica *consumes* the logs on its own schedule — dropping dead
-/// entries from its private tree and advancing a consumed-version
-/// clock. A replica may serve a cache hit iff its clock covers the
-/// pinned snapshot's serving version; otherwise the read falls through
-/// to the uncached miss path.
+/// Replicas need no coherence protocol. Every entry is keyed by
+/// `(user, state, serving version)`, and the serving version is
+/// store-wide monotone and never reused, so an exact-version `Lookup`
+/// can only hit an entry computed from the pinned snapshot. A replica
+/// that has never heard of a publish simply misses. Memory is reclaimed
+/// by the one rule every query cache follows:
 ///
-/// Correctness splits into two independent guarantees:
+///   - each `(user, state)` has one slot, and `Put` overwrites it in
+///     place, whatever version it held;
+///   - beyond `capacity_per_replica`, the least recently used slot is
+///     evicted;
+///   - exact version keys decide fresh hits, and `LookupAtOrBefore`'s
+///     window decides stale hits (the serving ladder bounds that window
+///     below by the user's creation version, so a removed user's
+///     entries never answer for a re-created one).
 ///
-///   1. **Byte-identical fresh serving** needs no coherence at all:
-///      cache entries are tagged with the store-wide monotone serving
-///      version and a fresh hit requires an exact tag match, so a
-///      replica that has consumed nothing can still never serve a
-///      wrong answer — only a stale *entry* that misses.
-///   2. **Bounded staleness of replica state**: once a replica's clock
-///      is >= V, every invalidation record with version <= V whose
-///      append completed before the consume began has been applied, so
-///      no entry older than `staleness_window` versions behind its
-///      user's publish at V survives in that replica.
-///
-/// The differential + chaos suites (tests/coherence_*_test.cc) pin
-/// both properties.
-class CoherenceLog {
- public:
-  /// One invalidation record. `version` is the serving version the
-  /// user's profile was published under (it doubles as the clock
-  /// watermark); `drop_all` marks a user removal — every entry of the
-  /// user dies regardless of any retention window.
-  struct Record {
-    std::string user;
-    uint64_t version = 0;
-    bool drop_all = false;
-  };
-
-  static constexpr size_t kDefaultWriterBuffers = 4;
-
-  /// `num_consumers` cursors are tracked per buffer (one per replica);
-  /// records are truncated once every consumer has passed them.
-  explicit CoherenceLog(size_t num_consumers,
-                        size_t num_buffers = kDefaultWriterBuffers);
-
-  CoherenceLog(const CoherenceLog&) = delete;
-  CoherenceLog& operator=(const CoherenceLog&) = delete;
-
-  /// Writer side: appends `{user, version}` to the calling thread's
-  /// buffer (stable thread -> buffer mapping, so one writer's records
-  /// stay in order) and advances the append watermark. O(1) amortized;
-  /// takes only that buffer's mutex — never a cache lock.
-  void Append(const std::string& user, uint64_t version,
-              bool drop_all = false);
-
-  /// Consumer side: drains every buffer past consumer `id`'s cursor,
-  /// invoking `apply` per record in buffer order, and truncates
-  /// records every consumer has passed. Returns the number of records
-  /// applied. `apply` runs with no log lock held (it takes cache shard
-  /// locks). The caller must serialize calls per consumer id
-  /// (`ReplicatedQueryCache` holds the replica's consume mutex).
-  size_t Consume(size_t id, const std::function<void(const Record&)>& apply);
-
-  /// The highest version whose append has completed (release order:
-  /// reading W here means every record of the writer that published W
-  /// is visible). The clock target a consume step may advance to.
-  uint64_t max_appended() const {
-    return max_appended_.load(std::memory_order_acquire);
-  }
-
-  /// Records currently retained (appended, not yet truncated — i.e.
-  /// not yet consumed by the slowest consumer). The log-depth gauge.
-  size_t depth() const { return depth_.load(std::memory_order_relaxed); }
-
-  size_t num_consumers() const { return num_consumers_; }
-  size_t num_buffers() const { return buffers_.size(); }
-
-  /// Registers a hook invoked after every append (outside the buffer
-  /// lock) — `ReplicatedQueryCache` uses it to kick background
-  /// consume tasks onto a `util::ThreadPool`. Must be set before
-  /// writers start appending; pass nullptr to clear.
-  void SetAppendListener(std::function<void()> listener) {
-    listener_ = std::move(listener);
-  }
-
- private:
-  /// One per-writer append-only buffer. `base` is the logical index of
-  /// `records[0]`; cursors are logical indices, so truncation (erasing
-  /// a consumed prefix and advancing `base`) never invalidates them.
-  struct Buffer {
-    mutable util::Mutex mu{util::LockRank::kCoherenceLog,
-                           "CoherenceLog.Buffer.mu"};
-    uint64_t base GUARDED_BY(mu) = 0;
-    std::vector<Record> records GUARDED_BY(mu);
-    std::vector<uint64_t> cursors GUARDED_BY(mu);
-  };
-
-  Buffer& BufferForThisThread();
-
-  size_t num_consumers_;
-  std::atomic<uint64_t> max_appended_{0};
-  std::atomic<size_t> depth_{0};
-  std::function<void()> listener_;  ///< Set before writers start.
-  std::vector<std::unique_ptr<Buffer>> buffers_;
-};
-
-/// N private `ContextQueryTree` replicas kept coherent through a
-/// `CoherenceLog`: serving threads read their own replica with no
-/// cross-thread cache contention, writers append one log record per
-/// publish, and each replica's consume step applies the records and
-/// advances its clock. `storage::ServeQueryReplicated` is the serving
-/// entry point; the gate is `Covers(replica, pinned_version)`.
+/// Callers serve through `replica(r)` exactly like a single shared
+/// cache: `storage::ServeQuery(snapshot, ..., &replicas.replica(r))`
+/// or `storage::ServeQueryResilient(..., &replicas.replica(r), ...)`.
 class ReplicatedQueryCache {
  public:
-  /// When the consume step runs. `kInlineAtLookup`:
-  /// `ServeQueryReplicated` drains the log before every gate check, so
-  /// the clock always covers the pinned version (the refuse path never
-  /// fires) at the cost of a log-drain per query — the deterministic
-  /// mode the harness and the differential tests use. `kBackground`:
-  /// consume tasks are kicked onto a `util::ThreadPool` by appends
-  /// (and by `Consume` calls the owner schedules); lookups between
-  /// kicks may find the clock behind the pinned version and refuse —
-  /// the bounded-staleness path `bench_coherence` measures.
-  enum class ConsumeMode { kInlineAtLookup, kBackground };
-
   struct Options {
     size_t num_replicas = 2;
     /// Per-replica `ContextQueryTree` capacity (0 = unbounded) and
@@ -152,14 +40,6 @@ class ReplicatedQueryCache {
     /// per-serving-thread already, so striping buys nothing.
     size_t capacity_per_replica = 0;
     size_t num_shards = 1;
-    size_t num_writer_buffers = CoherenceLog::kDefaultWriterBuffers;
-    /// How many serving versions behind a record's version an entry
-    /// may be and still survive the consume step — the retention the
-    /// degradation ladder's stale rung reads through
-    /// `LookupAtOrBefore`. 0 = drop everything below the record's
-    /// version (strictest hygiene, no stale rung).
-    uint64_t staleness_window = 8;
-    ConsumeMode mode = ConsumeMode::kInlineAtLookup;
   };
 
   ReplicatedQueryCache(EnvironmentPtr env, Ordering order, Options options);
@@ -172,85 +52,20 @@ class ReplicatedQueryCache {
   ReplicatedQueryCache& operator=(const ReplicatedQueryCache&) = delete;
 
   size_t num_replicas() const { return replicas_.size(); }
-  const Options& options() const { return options_; }
-  CoherenceLog& log() { return log_; }
-  const CoherenceLog& log() const { return log_; }
 
-  /// Replica `r`'s private tree. Callers serve through it exactly like
-  /// a single shared cache (`CachedRankCS`, `LookupAtOrBefore`);
-  /// coherence is the wrapper's job, not the tree's.
-  ContextQueryTree& replica(size_t r) { return replicas_[r]->tree; }
-  const ContextQueryTree& replica(size_t r) const {
-    return replicas_[r]->tree;
-  }
+  /// Replica `r`'s private tree (retain-stale, internally synchronized).
+  ContextQueryTree& replica(size_t r) { return *replicas_[r]; }
+  const ContextQueryTree& replica(size_t r) const { return *replicas_[r]; }
 
   /// Stable thread -> replica mapping for callers that don't manage
   /// replica indices themselves.
   size_t ReplicaForThisThread() const;
 
-  /// Replica `r`'s consumed-version clock.
-  uint64_t clock(size_t r) const {
-    return replicas_[r]->clock.load(std::memory_order_acquire);
-  }
-
-  /// The coherence gate: may replica `r` serve a hit for a snapshot
-  /// pinned at `version`? True iff the replica's clock covers it.
-  bool Covers(size_t r, uint64_t version) const {
-    return clock(r) >= version;
-  }
-
-  /// Runs replica `r`'s consume step: reads the append watermark,
-  /// drains the log, drops dead entries from the replica's tree
-  /// (`InvalidateUserBelow` with the staleness window; removals drop
-  /// everything), then advances the clock to the watermark. Serialized
-  /// per replica; safe to call from any thread. Returns the number of
-  /// records applied.
-  size_t Consume(size_t r);
-
-  /// `Consume` on every replica; returns total records applied.
-  size_t ConsumeAll();
-
   /// Aggregated stats over all replica trees.
   CacheStats Stats() const;
 
-  /// How far the slowest replica's clock trails the append watermark,
-  /// in serving versions — the invalidation-lag figure
-  /// `bench_coherence` plots against write rate.
-  uint64_t InvalidationLagVersions() const;
-
-  /// Ticks the stale-refuse counter; called by the serving layer when
-  /// the gate fails and the read falls through to the miss path.
-  static void RecordStaleRefuse();
-
-  /// Enables background mode kicks: every append (and any caller)
-  /// may schedule consume tasks for lagging replicas onto `pool`.
-  /// At most one task per replica is in flight. The pool must outlive
-  /// this object (or be detached with nullptr first).
-  void SetBackgroundPool(ThreadPool* pool);
-
  private:
-  struct Replica {
-    explicit Replica(EnvironmentPtr env, Ordering order, size_t capacity,
-                     size_t num_shards);
-
-    ContextQueryTree tree;           ///< Internally synchronized.
-    std::atomic<uint64_t> clock{0};  ///< Consumed-version clock.
-    std::atomic<bool> consume_queued{false};  ///< Background-kick latch.
-    /// Serializes this replica's consume step: watermark read, drain,
-    /// apply, clock advance happen atomically with respect to other
-    /// consumers of the same replica — the clock never claims coverage
-    /// of records another in-flight consume has drained but not yet
-    /// applied.
-    util::Mutex consume_mu{util::LockRank::kCoherenceConsume,
-                           "ReplicatedQueryCache.Replica.consume_mu"};
-  };
-
-  void KickBackgroundConsume();
-
-  Options options_;
-  CoherenceLog log_;
-  std::atomic<ThreadPool*> pool_{nullptr};
-  std::vector<std::unique_ptr<Replica>> replicas_;
+  std::vector<std::unique_ptr<ContextQueryTree>> replicas_;
 };
 
 }  // namespace ctxpref

@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <utility>
 
-#include "preference/replicated_query_cache.h"
 #include "storage/profile_io.h"
 #include "util/metrics.h"
 
@@ -45,11 +44,13 @@ struct ServingMetrics {
 }  // namespace
 
 ProfileSnapshot::ProfileSnapshot(std::string user_id, uint64_t serving_version,
+                                 uint64_t created_version,
                                  std::shared_ptr<const Profile> profile,
                                  std::shared_ptr<const ProfileTree> tree,
                                  std::shared_ptr<const FlatProfileTree> flat)
     : user_id_(std::move(user_id)),
       serving_version_(serving_version),
+      created_version_(created_version),
       profile_(std::move(profile)),
       tree_(std::move(tree)),
       flat_(std::move(flat)),
@@ -74,10 +75,8 @@ ProfileStore::ProfileStore(ProfileStore&& other) noexcept
     : env_(std::move(other.env_)), users_(std::move(other.users_)) {
   version_counter_.store(other.version_counter_.load());
   cache_.store(other.cache_.load());
-  coherence_log_.store(other.coherence_log_.load());
   other.users_.clear();
   other.cache_.store(nullptr);
-  other.coherence_log_.store(nullptr);
 }
 
 ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
@@ -89,10 +88,8 @@ ProfileStore& ProfileStore::operator=(ProfileStore&& other) noexcept {
   users_ = std::move(other.users_);
   version_counter_.store(other.version_counter_.load());
   cache_.store(other.cache_.load());
-  coherence_log_.store(other.coherence_log_.load());
   other.users_.clear();
   other.cache_.store(nullptr);
-  other.coherence_log_.store(nullptr);
   return *this;
 }
 
@@ -129,8 +126,9 @@ Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
       FlatProfileTree::Build(*tree_ptr));
   const uint64_t version =
       version_counter_.fetch_add(1, std::memory_order_acq_rel) + 1;
+  if (user.created_version == 0) user.created_version = version;
   auto snapshot = std::make_shared<const ProfileSnapshot>(
-      user_id, version,
+      user_id, version, user.created_version,
       std::make_shared<const Profile>(std::move(profile)),
       std::move(tree_ptr), std::move(flat));
   SnapshotPtr old = user.Swap(std::move(snapshot));
@@ -140,18 +138,10 @@ Status ProfileStore::BuildAndPublish(User& user, const std::string& user_id,
     metrics.snapshot_age.Set(
         static_cast<int64_t>(MonotonicNanos() - old->publish_nanos()));
   }
-  // Invalidation, log-based when a coherence log is attached: the
-  // writer appends one `{user, serving_version}` record — touching only
-  // its own log buffer, never a cache lock — and replicated caches
-  // drain it on their own schedule (docs/coherence.md). Either way a
-  // lookup racing ahead cannot be served stale data: entries are
-  // version-tagged and the new serving version never equals the old.
-  if (CoherenceLog* log = coherence_log_.load(std::memory_order_acquire)) {
-    log->Append(user_id, version);
-    return Status::OK();
-  }
   // Eager invalidation: entries computed from the retired snapshot are
-  // dropped now rather than lingering until touched.
+  // dropped now rather than lingering until touched. A lookup racing
+  // ahead cannot be served stale data either way: entries are
+  // version-tagged and the new serving version never equals the old.
   // In retain-stale mode the old entries are deliberately KEPT: they
   // are the degradation ladder's bounded-staleness rung (version tags
   // keep fresh serving correct, LRU bounds the memory). A *removed*
@@ -275,16 +265,13 @@ Status ProfileStore::RemoveUser(const std::string& user_id) {
     }
   }
   ServingMetrics::Get().users.Add(-1);
-  // Drop the removed user's cached results; a later user with the same
-  // id gets fresh serving versions anyway (the counter never reuses
-  // values), so this is hygiene, not correctness. With a coherence log
-  // attached, the removal becomes a `drop_all` record — replicas drop
-  // every entry of the user when they consume it, staleness window
-  // notwithstanding.
-  if (CoherenceLog* log = coherence_log_.load(std::memory_order_acquire)) {
-    log->Append(user_id, serving_version(), /*drop_all=*/true);
-  } else if (ContextQueryTree* cache =
-                 cache_.load(std::memory_order_acquire)) {
+  // Drop the removed user's cached results. This is hygiene, not
+  // correctness: a pinned reader may still Put an entry of the removed
+  // incarnation after this runs (and unattached caches never see the
+  // removal), but a later user with the same id gets fresh serving
+  // versions for exact hits, and a `created_version()` that bounds the
+  // stale rung's reach above every entry of the removed incarnation.
+  if (ContextQueryTree* cache = cache_.load(std::memory_order_acquire)) {
     cache->InvalidateUser(user_id);
   }
   return Status::OK();

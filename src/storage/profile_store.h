@@ -15,10 +15,6 @@
 #include "util/mutex.h"
 #include "util/status.h"
 
-namespace ctxpref {
-class CoherenceLog;
-}
-
 namespace ctxpref::storage {
 
 /// One immutable published version of a user's profile: the profile
@@ -39,6 +35,7 @@ namespace ctxpref::storage {
 class ProfileSnapshot {
  public:
   ProfileSnapshot(std::string user_id, uint64_t serving_version,
+                  uint64_t created_version,
                   std::shared_ptr<const Profile> profile,
                   std::shared_ptr<const ProfileTree> tree,
                   std::shared_ptr<const FlatProfileTree> flat);
@@ -51,6 +48,12 @@ class ProfileSnapshot {
   /// Store-wide monotone version; the tag `ContextQueryTree` entries
   /// computed from this snapshot carry.
   uint64_t serving_version() const { return serving_version_; }
+  /// The serving version this *incarnation* of the user was created
+  /// at: carried unchanged through every publish, fresh after a
+  /// `RemoveUser` + `CreateUser` of the same id. Cache entries of the
+  /// user tagged below it belong to a removed incarnation, so the
+  /// serving ladder's stale rung never reaches below it.
+  uint64_t created_version() const { return created_version_; }
   const Profile& profile() const { return *profile_; }
   const ProfileTree& tree() const { return *tree_; }
   const std::shared_ptr<const Profile>& profile_ptr() const {
@@ -73,6 +76,7 @@ class ProfileSnapshot {
  private:
   std::string user_id_;
   uint64_t serving_version_;
+  uint64_t created_version_;
   std::shared_ptr<const Profile> profile_;
   std::shared_ptr<const ProfileTree> tree_;
   std::shared_ptr<const FlatProfileTree> flat_;
@@ -99,11 +103,12 @@ using SnapshotPtr = std::shared_ptr<const ProfileSnapshot>;
 /// serialize on a per-user mutex; writers to different users proceed
 /// in parallel.
 ///
-/// When a `ContextQueryTree` is attached (`AttachQueryCache`), every
-/// publish and removal eagerly invalidates that user's cached entries,
-/// and all entries written on behalf of a snapshot are tagged with its
-/// serving version — so a cached result can never outlive the profile
-/// version that produced it.
+/// All entries written on behalf of a snapshot are tagged with its
+/// serving version, so a cached result can never answer for another
+/// profile version. When a `ContextQueryTree` is attached
+/// (`AttachQueryCache`), publishes (unless the cache retains stale
+/// entries) and removals also drop that user's entries eagerly — memory
+/// hygiene, not correctness.
 ///
 /// Persistence maps each user to `<dir>/<user_id>.profile` in the
 /// binary format of `profile_io.h`.
@@ -177,8 +182,10 @@ class ProfileStore {
   /// users.
   Status ReloadUser(const std::string& user_id, const std::string& dir);
 
-  /// Removes the user and invalidates their cached query results.
-  /// Readers holding the user's snapshot keep it.
+  /// Removes the user and drops their entries from an attached cache.
+  /// Readers holding the user's snapshot keep it. A later `CreateUser`
+  /// of the same id starts a new incarnation (`created_version()`), so
+  /// no cache — attached or not — serves the removed one's answers.
   Status RemoveUser(const std::string& user_id);
 
   /// All user ids, sorted.
@@ -193,33 +200,19 @@ class ProfileStore {
   static StatusOr<ProfileStore> LoadDir(EnvironmentPtr env,
                                         const std::string& dir);
 
-  /// Attaches the query cache this store invalidates on publish and
-  /// removal. The cache must outlive the store (or be detached first);
-  /// pass nullptr to detach. Entries the serving layer writes through
-  /// `CachedRankCS` are tagged `{user_id, serving version}`, so
-  /// invalidation is eager *and* version tags make any straggler
-  /// lookups miss.
+  /// Attaches a query cache this store prunes eagerly: a publish drops
+  /// the user's entries unless the cache is in retain-stale mode, and a
+  /// removal always drops them. This only frees memory early. Entries
+  /// the serving layer writes through `CachedRankCS` are tagged
+  /// `{user_id, serving version}`, so an unattached cache (say, a
+  /// `ReplicatedQueryCache` replica) serves exactly the same answers and
+  /// relies on in-place `Put` and LRU alone. The cache must outlive the
+  /// store (or be detached first); pass nullptr to detach.
   void AttachQueryCache(ContextQueryTree* cache) {
     cache_.store(cache, std::memory_order_release);
   }
   ContextQueryTree* query_cache() const {
     return cache_.load(std::memory_order_acquire);
-  }
-
-  /// Attaches a coherence log (`preference/replicated_query_cache.h`):
-  /// publishes and removals then *append* one invalidation record
-  /// instead of eagerly pruning an attached cache — the log-based
-  /// scheme replicated caches consume on their own schedule
-  /// (docs/coherence.md). When both a cache and a log are attached the
-  /// log wins: the writer takes no cache lock at all, and a directly
-  /// attached shared cache would go stale (version tags still make its
-  /// exact-match lookups miss). The log must outlive the store (or be
-  /// detached first); pass nullptr to detach.
-  void AttachCoherenceLog(CoherenceLog* log) {
-    coherence_log_.store(log, std::memory_order_release);
-  }
-  CoherenceLog* coherence_log() const {
-    return coherence_log_.load(std::memory_order_acquire);
   }
 
   /// The store-wide serving-version counter's current value (the
@@ -235,6 +228,9 @@ class ProfileStore {
     /// the cache invalidation below it in the hierarchy.
     util::Mutex write_mu{util::LockRank::kPerUserWrite,
                          "ProfileStore.User.write_mu"};
+    /// Serving version of this incarnation's first publish (0 until
+    /// then); copied into every snapshot as `created_version()`.
+    uint64_t created_version GUARDED_BY(write_mu) = 0;
     /// Guards only the `current` pointer slot (rank `kStoreSlot`).
     /// Held for a shared_ptr copy (readers) or swap (publish) —
     /// nanoseconds — and kept separate from `write_mu`, which writers
@@ -283,7 +279,6 @@ class ProfileStore {
   /// Store-wide monotone serving version; see `ProfileSnapshot`.
   std::atomic<uint64_t> version_counter_{0};
   std::atomic<ContextQueryTree*> cache_{nullptr};
-  std::atomic<CoherenceLog*> coherence_log_{nullptr};
 };
 
 }  // namespace ctxpref::storage

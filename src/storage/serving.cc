@@ -1,6 +1,7 @@
 #include "storage/serving.h"
 
-#include "preference/replicated_query_cache.h"
+#include <algorithm>
+
 #include "preference/resolution.h"
 #include "util/metrics.h"
 
@@ -125,14 +126,17 @@ namespace {
 /// the torn answer the serving layer promises never to produce. The
 /// merge is CachedRankCS's own (`MergeCachedStates`), so the result is
 /// bit-identical to a direct ServeQuery pinned at that version — the
-/// differential test's property.
-bool TryServeStale(const std::string& user_id, const db::Relation& relation,
-                   const ContextualQuery& query,
+/// differential test's property. The window is
+/// `[max(current - max_stale_versions, created_version), current]`:
+/// below the snapshot's creation version lie entries of a removed
+/// incarnation of the same user id, which a pinned reader may have
+/// written after the removal dropped the user's entries.
+bool TryServeStale(const ProfileSnapshot& snapshot,
+                   const db::Relation& relation, const ContextualQuery& query,
                    const std::vector<ContextState>& states,
-                   ContextQueryTree& cache, uint64_t current_version,
-                   uint64_t max_stale_versions, const QueryOptions& options,
-                   AccessCounter* counter, QueryResult* out,
-                   uint64_t* served_version) {
+                   ContextQueryTree& cache, uint64_t max_stale_versions,
+                   const QueryOptions& options, AccessCounter* counter,
+                   QueryResult* out, uint64_t* served_version) {
   if (states.empty()) return false;
   // Same associativity rule as CachedRankCS: per-state lists only
   // merge correctly under kMax/kMin.
@@ -140,9 +144,13 @@ bool TryServeStale(const std::string& user_id, const db::Relation& relation,
       options.combine != db::CombinePolicy::kMin) {
     return false;
   }
-  const uint64_t min_version = current_version > max_stale_versions
-                                   ? current_version - max_stale_versions
-                                   : 0;
+  const std::string& user_id = snapshot.user_id();
+  const uint64_t current_version = snapshot.serving_version();
+  const uint64_t min_version = std::max(
+      current_version > max_stale_versions
+          ? current_version - max_stale_versions
+          : 0,
+      snapshot.created_version());
   // The first state picks the consistent version V (newest available
   // within the window); every other state must then hit exactly V.
   uint64_t version = 0;
@@ -236,9 +244,9 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
   if (cache != nullptr && opts.allow_stale && opts.max_stale_versions > 0) {
     QueryResult stale;
     uint64_t served_version = 0;
-    if (TryServeStale(user_id, relation, query, states, *cache,
-                      pin->serving_version(), opts.max_stale_versions,
-                      opts.query, counter, &stale, &served_version)) {
+    if (TryServeStale(*pin, relation, query, states, *cache,
+                      opts.max_stale_versions, opts.query, counter, &stale,
+                      &served_version)) {
       metrics.stale.Increment();
       provenance.via = ServedVia::kStale;
       provenance.served_version = served_version;
@@ -278,46 +286,6 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
       AdmissionDecisionToString(provenance.admission) +
       (provenance.deadline_hit ? ", deadline expired" : "") +
       "), no degraded answer available");
-}
-
-StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
-                                           const std::string& user_id,
-                                           const db::Relation& relation,
-                                           const ContextualQuery& query,
-                                           ReplicatedQueryCache& replicas,
-                                           const QueryOptions& options,
-                                           AccessCounter* counter,
-                                           size_t replica) {
-  StatusOr<SnapshotPtr> snapshot = store.GetSnapshot(user_id);
-  if (!snapshot.ok()) return snapshot.status();
-  SnapshotPin pin(*snapshot);
-  const uint64_t pinned_version = pin->serving_version();
-
-  const size_t r =
-      replica == kAnyReplica ? replicas.ReplicaForThisThread() : replica;
-  if (replicas.options().mode ==
-      ReplicatedQueryCache::ConsumeMode::kInlineAtLookup) {
-    replicas.Consume(r);
-  }
-  // The coherence gate. `Covers` reads the clock with acquire, pairing
-  // with the consume step's release store: a covered replica has
-  // applied every invalidation record at or below the pinned version
-  // (modulo appends still in flight — harmless, their versions exceed
-  // any tag a hit could match; see docs/coherence.md).
-  ContextQueryTree* tree = nullptr;
-  if (replicas.Covers(r, pinned_version)) {
-    tree = &replicas.replica(r);
-  } else {
-    ReplicatedQueryCache::RecordStaleRefuse();
-  }
-  StatusOr<QueryResult> result =
-      ServeQuery(*pin, relation, query, tree, options, counter);
-  if (!result.ok()) return result.status();
-  ServingProvenance provenance;
-  provenance.via = ServedVia::kFresh;
-  provenance.served_version = pinned_version;
-  provenance.current_version = pinned_version;
-  return ServedQuery{std::move(*result), pin.snapshot(), provenance};
 }
 
 }  // namespace ctxpref::storage

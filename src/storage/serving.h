@@ -12,10 +12,6 @@
 #include "util/counters.h"
 #include "util/status.h"
 
-namespace ctxpref {
-class ReplicatedQueryCache;
-}
-
 namespace ctxpref::storage {
 
 /// RAII pin on a `ProfileSnapshot`: holds the snapshot alive for the
@@ -128,7 +124,9 @@ struct ServeOptions {
   /// state cached at ONE consistent version — mixed versions would be a
   /// torn answer, the thing this whole layer exists to prevent.
   bool allow_stale = true;
-  /// How far back (in serving versions) rung 1 may reach.
+  /// How far back (in serving versions) rung 1 may reach. It never
+  /// reaches below the pinned snapshot's `created_version()`: entries
+  /// older than that belong to a removed incarnation of the user.
   uint64_t max_stale_versions = 8;
   /// Ladder rung 2: evaluate only the first query state, top-k
   /// truncated, no cache writes.
@@ -154,36 +152,6 @@ StatusOr<ServedQuery> ServeQueryResilient(const ProfileStore& store,
                                           ContextQueryTree* cache = nullptr,
                                           const ServeOptions& opts = {},
                                           AccessCounter* counter = nullptr);
-
-/// "Pick the replica by thread" sentinel for `ServeQueryReplicated`.
-inline constexpr size_t kAnyReplica = ~static_cast<size_t>(0);
-
-/// `ServeQuery` through one replica of a `ReplicatedQueryCache` kept
-/// coherent by the log-based scheme (docs/coherence.md). The flow:
-///
-///   1. Pin `user_id`'s current snapshot (version V).
-///   2. Pick a replica — `replica` if given, else a stable hash of the
-///      calling thread (`kAnyReplica`).
-///   3. In `kInlineAtLookup` mode, run the replica's consume step so
-///      its clock catches up to the append watermark.
-///   4. **Gate**: if the replica's clock covers V, serve through the
-///      replica's tree (exact-version hits; misses recompute and Put).
-///      Otherwise count a stale refuse and serve *uncached* — the miss
-///      path — rather than read through a replica that may still hold
-///      entries the log says are dead beyond the staleness window.
-///
-/// Either branch ranks against the same pinned snapshot, so the answer
-/// is byte-identical to a single-cache or uncached `ServeQuery` at the
-/// same serving version (the differential suite's property); the gate
-/// only decides whether the replica's cache may *participate*.
-StatusOr<ServedQuery> ServeQueryReplicated(const ProfileStore& store,
-                                           const std::string& user_id,
-                                           const db::Relation& relation,
-                                           const ContextualQuery& query,
-                                           ReplicatedQueryCache& replicas,
-                                           const QueryOptions& options = {},
-                                           AccessCounter* counter = nullptr,
-                                           size_t replica = kAnyReplica);
 
 }  // namespace ctxpref::storage
 

@@ -17,10 +17,6 @@ const char* LockRankName(LockRank rank) {
       return "per-user-write";
     case LockRank::kStoreSlot:
       return "store-slot";
-    case LockRank::kCoherenceConsume:
-      return "coherence-consume";
-    case LockRank::kCoherenceLog:
-      return "coherence-log";
     case LockRank::kCacheShard:
       return "cache-shard";
     case LockRank::kResilientSource:

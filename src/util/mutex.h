@@ -65,14 +65,6 @@ enum class LockRank : int {
   /// ProfileStore::User::snap_mu — the published-snapshot pointer
   /// slot; innermost of the store locks.
   kStoreSlot = 30,
-  /// ReplicatedQueryCache::Replica::consume_mu — serializes the
-  /// consume step of one replica; held across the coherence-log drain
-  /// (kCoherenceLog) and the dead-entry drops (kCacheShard) below it.
-  kCoherenceConsume = 32,
-  /// CoherenceLog per-writer buffer mutexes — appends come from the
-  /// store's publish path (under write_mu), drains from a replica's
-  /// consume step (under consume_mu); never two buffers at once.
-  kCoherenceLog = 35,
   /// ContextQueryTree shard mutexes; acquired under the store's write
   /// path via InvalidateUser, never two shards at once.
   kCacheShard = 40,

@@ -1,22 +1,23 @@
-// Differential + chaos battery for log-based cache coherence
-// (docs/coherence.md): replicated query caches kept coherent through
-// a CoherenceLog must serve answers byte-identical to a single shared
-// cache AND to an uncached serve at the same serving version —
+// Differential + chaos battery for replicated query caches
+// (docs/coherence.md): retain-stale replicas with no invalidation hook
+// must serve answers byte-identical to a single shared cache AND to an
+// uncached serve at the same serving version —
 //  (1) across >= 12 interleaved PublishProfile / ReloadUser swaps,
 //      both DistanceKinds, with every hit asserted identical to the
 //      miss that populated it;
 //  (2) under seeded chaos: writer churn (publish / update / remove /
-//      re-create) interleaved with randomly scheduled replica consume
-//      steps, every served answer checked against its own pinned
-//      snapshot's uncached oracle, the refuse path provably taken;
-//  (3) directed: the consume step's version-clock advance, the
-//      staleness-window reclamation bound, drop_all records, and the
-//      log's cursor/truncation bookkeeping.
+//      re-create) interleaved with straggling readers that serve from
+//      long-pinned snapshots and with degraded serves down the stale
+//      rung, every answer checked against the uncached oracle of the
+//      snapshot it claims to reflect;
+//  (3) directed: the one reclamation rule bounds each replica's memory
+//      by the (user, state) slots it served and by its capacity.
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,7 +30,7 @@
 #include "storage/profile_store.h"
 #include "storage/serving.h"
 #include "tests/test_util.h"
-#include "util/metrics.h"
+#include "util/deadline.h"
 #include "util/random.h"
 
 namespace ctxpref {
@@ -160,12 +161,6 @@ void ExpectSameResult(const QueryResult& got, const QueryResult& want,
   }
 }
 
-uint64_t StaleRefuses() {
-  return MetricsRegistry::Global()
-      .GetCounter("ctxpref_coherence_stale_refuses_total")
-      .value();
-}
-
 class CoherenceDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 
 // ---- (1) Replicated vs single shared cache vs uncached --------------
@@ -174,7 +169,7 @@ class CoherenceDifferentialTest : public ::testing::TestWithParam<uint64_t> {};
 // swaps (half PublishProfile, half ReloadUser from a directory the
 // publishing store saved), so their serving-version counters stay in
 // lockstep. Store A uses the eager single-shared-cache wiring; store B
-// publishes through the coherence log into a replicated cache. At
+// has no cache attached and serves through a replicated cache. At
 // every version, for both distance kinds, every replica must serve
 // byte-identically to the shared cache and to the uncached oracle —
 // and the second (hit) pass through each cache must be byte-identical
@@ -210,10 +205,7 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
     storage::ProfileStore log_store(env);
     ReplicatedQueryCache::Options ropt;
     ropt.num_replicas = 3;
-    ropt.staleness_window = 64;  // Retain everything this test ages.
-    ropt.mode = ReplicatedQueryCache::ConsumeMode::kInlineAtLookup;
     ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
-    log_store.AttachCoherenceLog(&replicas.log());
 
     {
       Profile initial = NonEmptyRandomProfile(rng, env, world);
@@ -252,16 +244,14 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
                            label + " shared pass " + std::to_string(pass));
         }
         // Every replica, miss pass then hit pass, through the real
-        // serving entry point (consume -> gate -> serve).
+        // serving entry point (pin -> serve through the replica).
         for (size_t r = 0; r < replicas.num_replicas(); ++r) {
           for (int pass = 0; pass < 2; ++pass) {
             StatusOr<storage::ServedQuery> got =
-                storage::ServeQueryReplicated(log_store, "u", relation, query,
-                                              replicas, options,
-                                              /*counter=*/nullptr, r);
+                storage::ServeQuery(log_store, "u", relation, query,
+                                    &replicas.replica(r), options);
             ASSERT_OK(got.status());
             ASSERT_EQ(got->snapshot->serving_version(), version) << label;
-            EXPECT_TRUE(replicas.Covers(r, version)) << label;
             ExpectSameResult(got->result, *oracle,
                              label + " replica " + std::to_string(r) +
                                  " pass " + std::to_string(pass));
@@ -269,9 +259,8 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
           // The hit really is a hit: a third serve must not miss.
           const CacheStats before = replicas.replica(r).Stats();
           StatusOr<storage::ServedQuery> again =
-              storage::ServeQueryReplicated(log_store, "u", relation, query,
-                                            replicas, options,
-                                            /*counter=*/nullptr, r);
+              storage::ServeQuery(log_store, "u", relation, query,
+                                  &replicas.replica(r), options);
           ASSERT_OK(again.status());
           const CacheStats after = replicas.replica(r).Stats();
           EXPECT_GT(after.hits, before.hits) << label;
@@ -296,14 +285,18 @@ TEST_P(CoherenceDifferentialTest, ReplicatedMatchesSingleCacheAcrossSwaps) {
   }
 }
 
-// ---- (2) Seeded chaos: churn + scheduled consume agents -------------
+// ---- (2) Seeded chaos: churn + stragglers + the stale rung ----------
 //
-// Writers churn the store (publish / update / remove+recreate) while
-// replica consume steps run on a random seeded schedule instead of
-// inline — so replicas lag, the coverage gate actually refuses, and
-// answers must STILL be byte-identical to each request's own pinned
-// snapshot served uncached. This is the "a stale replica can refuse
-// but never lie" property; 200 ops per seed.
+// Writers churn the store (publish / update / remove+recreate) with no
+// cache attached, so nothing ever prunes the replicas. Straggling
+// readers hold snapshots across that churn and keep serving from them —
+// writing entries of superseded versions, and of removed incarnations,
+// into the replicas after the fact. Degraded serves (an already-expired
+// deadline) then walk the stale rung over those replicas. Every answer
+// must STILL be byte-identical to the uncached serve of the snapshot it
+// claims to reflect, and a stale answer must never reach below the
+// pinned snapshot's creation version: a removed user's answers never
+// reach the re-created user. 200 ops per seed.
 TEST_P(CoherenceDifferentialTest, ChaosChurnNeverServesTornAnswers) {
   EnvironmentPtr env = TinyEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
@@ -313,193 +306,238 @@ TEST_P(CoherenceDifferentialTest, ChaosChurnNeverServesTornAnswers) {
   storage::ProfileStore store(env);
   ReplicatedQueryCache::Options ropt;
   ropt.num_replicas = 4;
-  ropt.staleness_window = 4;
-  // Background mode with no pool attached: consume runs ONLY when this
-  // test's seeded schedule calls it, never inline — maximal lag.
-  ropt.mode = ReplicatedQueryCache::ConsumeMode::kBackground;
   ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
-  store.AttachCoherenceLog(&replicas.log());
-  ASSERT_OK(store.CreateUser("u", NonEmptyRandomProfile(rng, env, world)));
-  ASSERT_OK(store.CreateUser("w", NonEmptyRandomProfile(rng, env, world)));
 
-  const uint64_t refuses_before = StaleRefuses();
-  uint64_t covered_serves = 0;
-  uint64_t gated_serves = 0;
+  // Every snapshot ever published, by serving version: the oracle for
+  // stale answers, which name only the version they reflect.
+  std::map<uint64_t, storage::SnapshotPtr> published;
+  auto record = [&](const std::string& uid) {
+    StatusOr<storage::SnapshotPtr> snap = store.GetSnapshot(uid);
+    ASSERT_OK(snap.status());
+    published[(*snap)->serving_version()] = *snap;
+  };
+  for (const char* uid : {"u", "w"}) {
+    ASSERT_OK(store.CreateUser(uid, NonEmptyRandomProfile(rng, env, world)));
+    record(uid);
+  }
+  std::vector<storage::SnapshotPtr> stragglers;
 
+  uint64_t fresh_serves = 0;
+  uint64_t straggler_serves = 0;
+  uint64_t stale_serves = 0;
   for (int op = 0; op < 200; ++op) {
     const uint32_t dice = rng.Uniform(100);
     const std::string uid = rng.Bernoulli(0.5) ? "u" : "w";
+    ContextQueryTree& replica =
+        replicas.replica(rng.Uniform(replicas.num_replicas()));
+    const ContextualQuery query =
+        QueryForState(*env, world[rng.Uniform(world.size())]);
+    const std::string label = "op " + std::to_string(op);
     if (dice < 20) {  // Writer churn: wholesale publish.
       ASSERT_OK(
           store.PublishProfile(uid, NonEmptyRandomProfile(rng, env, world)));
+      record(uid);
     } else if (dice < 30) {  // Writer churn: COW rescore.
       const double score = static_cast<double>(rng.Uniform(21)) * 0.05;
       ASSERT_OK(store.UpdateUser(uid, [score](Profile& p) {
         if (p.size() > 0) (void)p.UpdateScore(0, score);
         return Status::OK();
       }));
-    } else if (dice < 34) {  // Remove + recreate: drop_all records.
+      record(uid);
+    } else if (dice < 34) {  // Remove + recreate: a new incarnation.
       ASSERT_OK(store.RemoveUser(uid));
       ASSERT_OK(
           store.CreateUser(uid, NonEmptyRandomProfile(rng, env, world)));
-    } else if (dice < 50) {  // A consume agent fires on one replica.
-      replicas.Consume(rng.Uniform(replicas.num_replicas()));
-    } else {  // Query through a random replica.
-      const size_t r = rng.Uniform(replicas.num_replicas());
-      const ContextualQuery query =
-          QueryForState(*env, world[rng.Uniform(world.size())]);
-      StatusOr<storage::ServedQuery> got = storage::ServeQueryReplicated(
-          store, uid, relation, query, replicas, QueryOptions{},
-          /*counter=*/nullptr, r);
+      record(uid);
+    } else if (dice < 42) {  // A reader pins and stalls.
+      StatusOr<storage::SnapshotPtr> pin = store.GetSnapshot(uid);
+      ASSERT_OK(pin.status());
+      if (stragglers.size() == 8) stragglers.erase(stragglers.begin());
+      stragglers.push_back(*pin);
+    } else if (dice < 54) {  // A stalled reader finishes late.
+      if (stragglers.empty()) continue;
+      const storage::ProfileSnapshot& pinned =
+          *stragglers[rng.Uniform(stragglers.size())];
+      StatusOr<QueryResult> got =
+          storage::ServeQuery(pinned, relation, query, &replica);
       ASSERT_OK(got.status());
-      if (replicas.Covers(r, got->snapshot->serving_version())) {
-        ++covered_serves;
-      } else {
-        ++gated_serves;
+      StatusOr<QueryResult> oracle =
+          storage::ServeQuery(pinned, relation, query, /*cache=*/nullptr);
+      ASSERT_OK(oracle.status());
+      ExpectSameResult(*got, *oracle, label + " straggler");
+      ++straggler_serves;
+    } else if (dice < 70) {  // Overloaded: straight down the ladder.
+      storage::ServeOptions so;
+      so.query.deadline = util::Deadline::AfterMicros(0);
+      so.allow_truncated = false;
+      StatusOr<storage::ServedQuery> got = storage::ServeQueryResilient(
+          store, uid, relation, query, &replica, so);
+      if (!got.ok()) {
+        // No consistent entry set in the stale window.
+        EXPECT_TRUE(got.status().IsUnavailable()) << label;
+        continue;
       }
+      ASSERT_EQ(got->provenance.via, storage::ServedVia::kStale) << label;
+      const uint64_t v = got->provenance.served_version;
+      ASSERT_GE(v, got->snapshot->created_version())
+          << label << ": stale rung crossed a user removal";
+      ASSERT_LE(v, got->snapshot->serving_version()) << label;
+      ASSERT_TRUE(published.count(v) > 0) << label;
+      ASSERT_EQ(published[v]->user_id(), uid) << label;
+      StatusOr<QueryResult> oracle = storage::ServeQuery(
+          *published[v], relation, query, /*cache=*/nullptr);
+      ASSERT_OK(oracle.status());
+      ExpectSameResult(got->result, *oracle, label + " stale");
+      ++stale_serves;
+    } else {  // Fresh query through a random replica.
+      StatusOr<storage::ServedQuery> got =
+          storage::ServeQuery(store, uid, relation, query, &replica);
+      ASSERT_OK(got.status());
       // The oracle for THIS answer is its own pinned snapshot,
       // uncached — stale replica state must never leak into it.
       StatusOr<QueryResult> oracle = storage::ServeQuery(
           *got->snapshot, relation, query, /*cache=*/nullptr);
       ASSERT_OK(oracle.status());
-      ExpectSameResult(got->result, *oracle, "op " + std::to_string(op));
+      ExpectSameResult(got->result, *oracle, label);
+      ++fresh_serves;
     }
   }
 
-  // The chaos must have exercised BOTH sides of the gate, and the
-  // refuse counter must account for every gated serve.
-  EXPECT_GT(covered_serves, 0u);
-  EXPECT_GT(gated_serves, 0u);
-  EXPECT_GE(StaleRefuses() - refuses_before, gated_serves);
-
-  // Quiesce: once every replica consumes, the lag closes and the log
-  // drains empty (all cursors at the end -> full truncation).
-  replicas.ConsumeAll();
-  EXPECT_EQ(replicas.InvalidationLagVersions(), 0u);
-  EXPECT_EQ(replicas.log().depth(), 0u);
-  for (size_t r = 0; r < replicas.num_replicas(); ++r) {
-    EXPECT_GE(replicas.clock(r), store.serving_version());
-  }
+  // The chaos must have exercised every reader kind.
+  EXPECT_GT(fresh_serves, 0u);
+  EXPECT_GT(straggler_serves, 0u);
+  EXPECT_GT(stale_serves, 0u);
+  const CacheStats stats = replicas.Stats();
+  EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
 }
 
-// ---- (3) Directed: clock, window, drop_all, cursors -----------------
-
-TEST(CoherenceLogTest, CursorsTruncationAndWatermark) {
-  CoherenceLog log(/*num_consumers=*/2, /*num_buffers=*/1);
-  EXPECT_EQ(log.max_appended(), 0u);
-  EXPECT_EQ(log.depth(), 0u);
-
-  log.Append("u", 3);
-  log.Append("w", 5);
-  log.Append("u", 4);  // Out-of-order version: watermark keeps the max.
-  EXPECT_EQ(log.max_appended(), 5u);
-  EXPECT_EQ(log.depth(), 3u);
-
-  // Consumer 0 drains everything, in append order; consumer 1 has not
-  // moved, so nothing truncates yet.
-  std::vector<std::pair<std::string, uint64_t>> seen;
-  EXPECT_EQ(log.Consume(0,
-                        [&seen](const CoherenceLog::Record& r) {
-                          seen.emplace_back(r.user, r.version);
-                        }),
-            3u);
-  const std::vector<std::pair<std::string, uint64_t>> want = {
-      {"u", 3}, {"w", 5}, {"u", 4}};
-  EXPECT_EQ(seen, want);
-  EXPECT_EQ(log.depth(), 3u);
-
-  // Consumer 1 catches up: the shared prefix truncates to empty.
-  EXPECT_EQ(log.Consume(1, [](const CoherenceLog::Record&) {}), 3u);
-  EXPECT_EQ(log.depth(), 0u);
-
-  // Records appended after truncation land past both cursors.
-  log.Append("u", 6, /*drop_all=*/true);
-  size_t drops = 0;
-  EXPECT_EQ(log.Consume(0,
-                        [&drops](const CoherenceLog::Record& r) {
-                          if (r.drop_all) ++drops;
-                        }),
-            1u);
-  EXPECT_EQ(drops, 1u);
-  EXPECT_EQ(log.Consume(0, [](const CoherenceLog::Record&) {}), 0u)
-      << "cursor must not re-deliver";
-}
-
-TEST(ReplicatedQueryCacheTest, ConsumeAdvancesClockAndGatesCoverage) {
+// ---- (3) Directed: the one reclamation rule bounds replica memory ---
+//
+// Replicas have no invalidation hook, so their memory rests on the
+// rule alone: one slot per (user, state), overwritten in place by
+// Put, LRU beyond the capacity. After many publishes (and a removal
+// and re-creation), each replica must hold no more entries than the
+// distinct (user, state) keys it has served — no matter how many
+// versions went by — and no more than its capacity.
+TEST(ReplicatedQueryCacheTest, ReplicaMemoryBoundedByServedSlotsAndCapacity) {
   EnvironmentPtr env = TinyEnv();
   const std::vector<ContextState> world = AllExtendedStates(*env);
   const db::Relation relation = MakeRelation();
-  Rng rng(4242);
+
+  for (const size_t capacity : {size_t{0}, size_t{5}}) {
+    Rng rng(5150 + capacity);
+    storage::ProfileStore store(env);
+    ReplicatedQueryCache::Options ropt;
+    ropt.num_replicas = 3;
+    ropt.capacity_per_replica = capacity;
+    ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
+    ASSERT_OK(store.CreateUser("u", NonEmptyRandomProfile(rng, env, world)));
+    ASSERT_OK(store.CreateUser("w", NonEmptyRandomProfile(rng, env, world)));
+
+    std::vector<std::set<std::pair<std::string, size_t>>> served(
+        replicas.num_replicas());
+    for (int publish = 0; publish < 60; ++publish) {
+      const std::string writer = rng.Bernoulli(0.5) ? "u" : "w";
+      if (publish == 30) {
+        ASSERT_OK(store.RemoveUser(writer));
+        ASSERT_OK(
+            store.CreateUser(writer, NonEmptyRandomProfile(rng, env, world)));
+      } else {
+        ASSERT_OK(store.PublishProfile(
+            writer, NonEmptyRandomProfile(rng, env, world)));
+      }
+      for (int q = 0; q < 6; ++q) {
+        const std::string uid = rng.Bernoulli(0.5) ? "u" : "w";
+        const size_t r = rng.Uniform(replicas.num_replicas());
+        // A small hot set, so slots are revisited across versions.
+        const size_t s = rng.Uniform(6);
+        ASSERT_OK(storage::ServeQuery(store, uid, relation,
+                                      QueryForState(*env, world[s]),
+                                      &replicas.replica(r))
+                      .status());
+        served[r].emplace(uid, s);
+      }
+      for (size_t r = 0; r < replicas.num_replicas(); ++r) {
+        const CacheStats stats = replicas.replica(r).Stats();
+        EXPECT_LE(stats.size, served[r].size())
+            << "replica " << r << " after publish " << publish;
+        if (capacity > 0) {
+          EXPECT_LE(stats.size, capacity)
+              << "replica " << r << " after publish " << publish;
+        }
+        EXPECT_EQ(stats.lookups, stats.hits + stats.misses);
+      }
+    }
+    // Sixty publishes went by, yet an unbounded replica holds exactly
+    // one slot per key it served: every version overwrote in place.
+    for (size_t r = 0; r < replicas.num_replicas(); ++r) {
+      const CacheStats stats = replicas.replica(r).Stats();
+      if (capacity == 0) {
+        EXPECT_EQ(stats.size, served[r].size()) << "replica " << r;
+        EXPECT_EQ(stats.evictions, 0u);
+      } else {
+        EXPECT_GT(stats.evictions, 0u) << "replica " << r;
+      }
+    }
+  }
+}
+
+// The degradation ladder over replicas: an overloaded request walks the
+// stale rung of the replica it was given — and only that replica, since
+// no replica ever sees another's entries — and its stale answer is
+// byte-identical to a direct serve of the older snapshot.
+TEST(ReplicatedQueryCacheTest, LadderServesStaleFromItsOwnReplica) {
+  EnvironmentPtr env = TinyEnv();
+  const std::vector<ContextState> world = AllExtendedStates(*env);
+  const db::Relation relation = MakeRelation();
+  Rng rng(777);
 
   storage::ProfileStore store(env);
-  ReplicatedQueryCache::Options ropt;
-  ropt.num_replicas = 2;
-  ropt.staleness_window = 2;
-  ropt.mode = ReplicatedQueryCache::ConsumeMode::kBackground;  // No pool.
-  ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()), ropt);
-  store.AttachCoherenceLog(&replicas.log());
+  ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()));
+  ASSERT_EQ(replicas.num_replicas(), 2u);
   ASSERT_OK(store.CreateUser("u", NonEmptyRandomProfile(rng, env, world)));
-  const uint64_t v1 = store.serving_version();
-
-  // Nothing consumed: clock 0, gate closed, serve refuses the cache
-  // (uncached, no Put) but still answers correctly.
-  EXPECT_FALSE(replicas.Covers(0, v1));
-  const uint64_t refuses_before = StaleRefuses();
   const ContextualQuery query = QueryForState(*env, world[0]);
-  StatusOr<storage::ServedQuery> gated = storage::ServeQueryReplicated(
-      store, "u", relation, query, replicas, QueryOptions{},
-      /*counter=*/nullptr, 0);
-  ASSERT_OK(gated.status());
-  EXPECT_EQ(StaleRefuses() - refuses_before, 1u);
-  EXPECT_EQ(replicas.replica(0).Stats().size, 0u)
-      << "a refused serve must not write through the gate";
 
-  // One consume step: clock covers v1, the same query now populates
-  // and then hits replica 0 — replica 1 remains behind.
-  replicas.Consume(0);
-  EXPECT_TRUE(replicas.Covers(0, v1));
-  EXPECT_FALSE(replicas.Covers(1, v1));
-  for (int pass = 0; pass < 2; ++pass) {
-    ASSERT_OK(storage::ServeQueryReplicated(store, "u", relation, query,
-                                            replicas, QueryOptions{},
-                                            /*counter=*/nullptr, 0)
-                  .status());
-  }
-  const CacheStats stats = replicas.replica(0).Stats();
-  EXPECT_EQ(stats.misses, 1u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(replicas.InvalidationLagVersions(), store.serving_version())
-      << "lag = watermark - min clock, and replica 1 is still at 0";
+  StatusOr<storage::ServedQuery> first = storage::ServeQueryResilient(
+      store, "u", relation, query, &replicas.replica(0));
+  ASSERT_OK(first.status());
+  EXPECT_EQ(first->provenance.via, storage::ServedVia::kFresh);
+  const storage::SnapshotPtr v1 = first->snapshot;
+  ASSERT_OK(store.PublishProfile("u", NonEmptyRandomProfile(rng, env, world)));
 
-  // Age the entry beyond the staleness window (> 2 publishes), then
-  // consume: the v1-tagged entry is reclaimed — not even reachable via
-  // the bounded-staleness lookup — while entries inside the window
-  // survive in retain-stale mode.
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_OK(
-        store.PublishProfile("u", NonEmptyRandomProfile(rng, env, world)));
-  }
-  const uint64_t now = store.serving_version();
-  ASSERT_GT(now - ropt.staleness_window, v1);
-  replicas.Consume(0);
-  EXPECT_TRUE(replicas.Covers(0, now));
-  uint64_t found_version = 0;
-  EXPECT_EQ(replicas.replica(0).LookupAtOrBefore("u", world[0], now,
-                                                 /*min_version=*/0,
-                                                 &found_version, nullptr),
-            nullptr)
-      << "v" << v1 << " entry should be reclaimed, got v" << found_version;
+  storage::ServeOptions overloaded;
+  overloaded.query.deadline = util::Deadline::AfterMicros(0);
+  overloaded.allow_truncated = false;
+  StatusOr<storage::ServedQuery> stale = storage::ServeQueryResilient(
+      store, "u", relation, query, &replicas.replica(0), overloaded);
+  ASSERT_OK(stale.status());
+  EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
+  EXPECT_EQ(stale->provenance.served_version, v1->serving_version());
+  EXPECT_EQ(stale->provenance.current_version, store.serving_version());
+  StatusOr<QueryResult> oracle =
+      storage::ServeQuery(*v1, relation, query, /*cache=*/nullptr);
+  ASSERT_OK(oracle.status());
+  ExpectSameResult(stale->result, *oracle, "stale via replica 0");
 
-  // drop_all: a removal kills even in-window entries at consume time.
-  ASSERT_OK(storage::ServeQueryReplicated(store, "u", relation, query,
-                                          replicas, QueryOptions{},
-                                          /*counter=*/nullptr, 0)
-                .status());  // Re-populate at the current version.
-  ASSERT_GT(replicas.replica(0).Stats().size, 0u);
-  ASSERT_OK(store.RemoveUser("u"));
-  replicas.Consume(0);
-  EXPECT_EQ(replicas.replica(0).Stats().size, 0u)
-      << "drop_all must ignore the staleness window";
+  // Replica 1 never served the user: nothing to degrade to.
+  StatusOr<storage::ServedQuery> empty = storage::ServeQueryResilient(
+      store, "u", relation, query, &replicas.replica(1), overloaded);
+  EXPECT_TRUE(empty.status().IsUnavailable()) << empty.status().ToString();
+
+  // Once replica 1 serves fresh, its stale rung answers at the current
+  // version, while replica 0 keeps its v1 slot until it serves again.
+  ASSERT_OK(storage::ServeQueryResilient(store, "u", relation, query,
+                                         &replicas.replica(1))
+                .status());
+  StatusOr<storage::ServedQuery> current = storage::ServeQueryResilient(
+      store, "u", relation, query, &replicas.replica(1), overloaded);
+  ASSERT_OK(current.status());
+  EXPECT_EQ(current->provenance.served_version, store.serving_version());
+  uint64_t held = 0;
+  EXPECT_NE(replicas.replica(0).LookupAtOrBefore(
+                "u", world[0], store.serving_version(), 0, &held),
+            nullptr);
+  EXPECT_EQ(held, v1->serving_version());
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CoherenceDifferentialTest,

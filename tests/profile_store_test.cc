@@ -207,6 +207,46 @@ TEST_F(ProfileStoreTest, RemoveUser) {
   EXPECT_TRUE((*pinned)->profile().empty());
 }
 
+TEST_F(ProfileStoreTest, CreatedVersionMarksTheIncarnation) {
+  namespace fs = std::filesystem;
+  const std::string dir = TestTempPath();
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+
+  ProfileStore store(env_);
+  ASSERT_OK(store.CreateUser("bob"));  // Another user's versions between.
+  ASSERT_OK(store.CreateUser("alice"));
+  const uint64_t born = store.serving_version();
+  auto created = [&store](const std::string& user) {
+    StatusOr<SnapshotPtr> snap = store.GetSnapshot(user);
+    EXPECT_OK(snap.status());
+    return snap.ok() ? (*snap)->created_version() : 0;
+  };
+  EXPECT_EQ(created("alice"), born);
+  EXPECT_LT(created("bob"), born);
+
+  // Every publish path carries the creation version unchanged.
+  ASSERT_OK(InsertPref(store, "alice",
+                       Pref(*env_, "location = Plaka", "name", "X", 0.5)));
+  ASSERT_OK(store.PublishProfile("alice", Profile(env_)));
+  ASSERT_OK(store.SaveAll(dir));
+  ASSERT_OK(store.ReloadUser("alice", dir));
+  ASSERT_OK(store.CreateUser("carol"));
+  StatusOr<SnapshotPtr> old = store.GetSnapshot("alice");
+  ASSERT_OK(old.status());
+  EXPECT_GT((*old)->serving_version(), born);
+  EXPECT_EQ((*old)->created_version(), born);
+
+  // Removal and re-creation starts a new incarnation above every
+  // version of the old one; a pinned old snapshot keeps its own.
+  ASSERT_OK(store.RemoveUser("alice"));
+  ASSERT_OK(store.CreateUser("alice"));
+  EXPECT_EQ(created("alice"), store.serving_version());
+  EXPECT_GT(created("alice"), (*old)->serving_version());
+  EXPECT_EQ((*old)->created_version(), born);
+  fs::remove_all(dir);
+}
+
 TEST_F(ProfileStoreTest, SaveAllAndLoadDirRoundTrip) {
   namespace fs = std::filesystem;
   const std::string dir = TestTempPath();

@@ -201,8 +201,8 @@ TEST(ReadmeSnippetTest, ServingSnippetWorksAsAdvertised) {
 }
 
 TEST(ReadmeSnippetTest, ReplicatedCacheSnippetWorksAsAdvertised) {
-  // "Replicated query caches": the README's coherence-log flow —
-  // attach, publish-appends, serve through a replica, observe lag.
+  // "Replicated query caches": the README's flow — build replicas,
+  // serve through this thread's replica with the ladder, observe hits.
   StatusOr<workload::PoiDatabase> poi = workload::MakePoiDatabase(60, 1);
   ASSERT_OK(poi.status());
   EnvironmentPtr env = poi->env;
@@ -228,38 +228,37 @@ TEST(ReadmeSnippetTest, ReplicatedCacheSnippetWorksAsAdvertised) {
   storage::ProfileStore store(env);
   ReplicatedQueryCache::Options ropt;
   ropt.num_replicas = 4;                   // one per serving thread
+  ropt.capacity_per_replica = 4096;        // LRU bound per replica
   ReplicatedQueryCache replicas(env, Ordering::Identity(env->size()),
                                 ropt);
-  store.AttachCoherenceLog(&replicas.log());  // publishes append, not
-                                              // invalidate
 
   ASSERT_OK(store.CreateUser("alice", std::move(profile)));
 
-  StatusOr<storage::ServedQuery> served = storage::ServeQueryReplicated(
-      store, "alice", relation, query, replicas);
+  ContextQueryTree* mine = &replicas.replica(replicas.ReplicaForThisThread());
+  StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
+      store, "alice", relation, query, mine);
   ASSERT_OK(served.status());
   EXPECT_EQ(served->snapshot->user_id(), "alice");
-
-  // Only the serving replica consumed inline; drain the rest.
-  replicas.ConsumeAll();
-  EXPECT_EQ(replicas.InvalidationLagVersions(), 0u);
   // --- end snippet ---
 
-  // The inline consume covered the pinned version, so the serve
-  // populated this thread's replica: a second serve hits it.
-  const size_t r = replicas.ReplicaForThisThread();
-  EXPECT_TRUE(replicas.Covers(r, served->snapshot->serving_version()));
+  EXPECT_EQ(served->provenance.via, storage::ServedVia::kFresh);
+  EXPECT_TRUE(mine->retain_stale());
+  // The serve populated this thread's replica: a second serve hits it,
+  // and no other replica was touched.
   const uint64_t hits_before = replicas.Stats().hits;
-  ASSERT_OK(storage::ServeQueryReplicated(store, "alice", relation, query,
-                                          replicas)
+  ASSERT_OK(storage::ServeQueryResilient(store, "alice", relation, query,
+                                         mine)
                 .status());
   EXPECT_GT(replicas.Stats().hits, hits_before);
-  // And a publish flows through the log, not the eager hook: the lag
-  // gauge closes again once the replicas consume.
+  EXPECT_EQ(replicas.Stats().size, mine->size());
+  // A publish needs no hook: the next serve misses on the new version
+  // and overwrites the slot in place, so the replica does not grow.
+  const size_t size_before = mine->size();
   ASSERT_OK(store.PublishProfile("alice", Profile(env)));
-  EXPECT_GT(replicas.log().max_appended(), 0u);
-  replicas.ConsumeAll();
-  EXPECT_EQ(replicas.InvalidationLagVersions(), 0u);
+  ASSERT_OK(storage::ServeQueryResilient(store, "alice", relation, query,
+                                         mine)
+                .status());
+  EXPECT_EQ(mine->size(), size_before);
 }
 
 TEST(ReadmeSnippetTest, OverloadSnippetWorksAsAdvertised) {

@@ -20,10 +20,12 @@
 
 #include "context/parser.h"
 #include "preference/query_cache.h"
+#include "preference/replicated_query_cache.h"
 #include "storage/profile_io.h"
 #include "storage/profile_store.h"
 #include "storage/serving.h"
 #include "tests/test_util.h"
+#include "util/deadline.h"
 #include "workload/poi_dataset.h"
 
 namespace ctxpref {
@@ -137,6 +139,71 @@ TEST_F(StaleCacheReproTest, VersionTagsProtectEvenWithoutEagerInvalidation) {
   EXPECT_GT(after->snapshot->serving_version(),
             before->snapshot->serving_version());
   EXPECT_GE(cache.invalidations(), 1u);  // Dropped on touch.
+}
+
+// Regression: the serving ladder's stale rung served a REMOVED user's
+// answer to a re-created user with the same id. The race: a reader
+// pinned the old incarnation, the user was removed (dropping its cache
+// entries), and the pinned reader then finished — writing an entry of
+// the removed incarnation back into the cache. The re-created user gets
+// fresh serving versions, so exact-version hits never matched it, but
+// the stale rung's window [current - max_stale_versions, current]
+// reached back to it. The snapshot's `created_version()` now bounds the
+// window below. Checked over a shared tree attached to the store and
+// over a replica, which no removal ever reaches.
+TEST_F(StaleCacheReproTest, StaleRungNeverServesARemovedIncarnation) {
+  for (const bool replicated : {false, true}) {
+    SCOPED_TRACE(replicated ? "replica tree" : "shared tree");
+    storage::ProfileStore store(env_);
+    ContextQueryTree shared(env_, Ordering::Identity(env_->size()));
+    shared.SetRetainStale(true);
+    ReplicatedQueryCache replicas(env_, Ordering::Identity(env_->size()));
+    ContextQueryTree* cache = &shared;
+    if (replicated) {
+      cache = &replicas.replica(0);
+    } else {
+      store.AttachQueryCache(&shared);
+    }
+
+    ASSERT_OK(store.CreateUser("u", MuseumProfile(0.9)));
+    StatusOr<storage::SnapshotPtr> pin = store.GetSnapshot("u");
+    ASSERT_OK(pin.status());
+    ASSERT_OK(store.RemoveUser("u"));
+    // The pinned reader finishes after the removal: its entry, tagged
+    // with the removed incarnation's version, lands in the cache.
+    StatusOr<QueryResult> late =
+        storage::ServeQuery(**pin, poi_->relation, query_, cache);
+    ASSERT_OK(late.status());
+    EXPECT_DOUBLE_EQ(TopScore(*late), 0.9);
+
+    ASSERT_OK(store.CreateUser("u", MuseumProfile(0.2)));
+    storage::ServeOptions so;
+    so.query.deadline = util::Deadline::AfterMicros(0);  // Overloaded.
+    StatusOr<storage::ServedQuery> served = storage::ServeQueryResilient(
+        store, "u", poi_->relation, query_, cache, so);
+    if (served.ok()) {
+      EXPECT_NE(served->provenance.via, storage::ServedVia::kStale)
+          << "served via " << served->provenance.ToString() << " top="
+          << TopScore(served->result) << ": a removed user's answer";
+      EXPECT_GE(served->provenance.served_version,
+                served->snapshot->created_version());
+    } else {
+      EXPECT_TRUE(served.status().IsUnavailable())
+          << served.status().ToString();
+    }
+
+    // The stale rung still serves the current incarnation's own older
+    // versions: cache v2's answer, publish v3, serve overloaded.
+    ASSERT_OK(
+        storage::ServeQuery(store, "u", poi_->relation, query_, cache)
+            .status());
+    ASSERT_OK(store.PublishProfile("u", MuseumProfile(0.5)));
+    StatusOr<storage::ServedQuery> stale = storage::ServeQueryResilient(
+        store, "u", poi_->relation, query_, cache, so);
+    ASSERT_OK(stale.status());
+    EXPECT_EQ(stale->provenance.via, storage::ServedVia::kStale);
+    EXPECT_DOUBLE_EQ(TopScore(stale->result), 0.2);
+  }
 }
 
 }  // namespace

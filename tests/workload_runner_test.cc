@@ -165,36 +165,51 @@ ScenarioConfig CoherenceConfig() {
 }
 
 TEST(WorkloadRunnerTest, CoherenceAblationIsResultTransparent) {
+  // The coherence ablation is the replica count: 4 replicas against 1
+  // (one replica is the single shared cache).
   ScenarioConfig cfg = CoherenceConfig();
-  StatusOr<ScenarioResult> on = WorkloadRunner(cfg).Run("coherence_on");
-  cfg.ablation.coherence = false;
-  StatusOr<ScenarioResult> off = WorkloadRunner(cfg).Run("coherence_off");
-  ASSERT_TRUE(on.ok() && off.ok());
-  // Replicated caches + log consume must serve the same tuples as the
-  // eagerly invalidated shared cache...
-  EXPECT_EQ(on->result_crc, off->result_crc);
+  StatusOr<ScenarioResult> replicated = WorkloadRunner(cfg).Run("replicas_4");
+  cfg.coherence_replicas = 1;
+  StatusOr<ScenarioResult> shared = WorkloadRunner(cfg).Run("replicas_1");
+  ASSERT_TRUE(replicated.ok() && shared.ok());
+  // Four retain-stale replicas must serve the same tuples as one
+  // shared tree...
+  EXPECT_EQ(replicated->result_crc, shared->result_crc);
   // ...while splitting the hit stream across 4 replicas (each replica
   // must re-miss states the others already cached, so the aggregate
   // hit count drops strictly below the shared cache's).
-  EXPECT_GT(on->cache_hits, 0u);
-  EXPECT_LT(on->cache_hits, off->cache_hits);
-  EXPECT_EQ(on->cache_hits + on->cache_misses,
-            off->cache_hits + off->cache_misses);
+  EXPECT_GT(replicated->cache_hits, 0u);
+  EXPECT_LT(replicated->cache_hits, shared->cache_hits);
+  EXPECT_EQ(replicated->cache_hits + replicated->cache_misses,
+            shared->cache_hits + shared->cache_misses);
 }
 
 TEST(WorkloadRunnerTest, CoherenceSingleReplicaMatchesSharedCache) {
-  // One replica with inline consume is behaviorally the shared cache:
-  // same answers AND the same hit/miss stream (the log drains before
-  // every lookup, and retain-stale keeps the same entries alive).
+  // One replica is the shared cache: it serves the uncached answers,
+  // and with unbounded capacity its hit count is the ceiling for every
+  // replica count (a key that hits in some replica was put earlier in
+  // that replica, hence earlier in the one tree that sees every put).
   ScenarioConfig cfg = CoherenceConfig();
   cfg.coherence_replicas = 1;
-  StatusOr<ScenarioResult> on = WorkloadRunner(cfg).Run("coherence_on");
-  cfg.ablation.coherence = false;
-  StatusOr<ScenarioResult> off = WorkloadRunner(cfg).Run("coherence_off");
-  ASSERT_TRUE(on.ok() && off.ok());
-  EXPECT_EQ(on->result_crc, off->result_crc);
-  EXPECT_EQ(on->cache_hits, off->cache_hits);
-  EXPECT_EQ(on->cache_misses, off->cache_misses);
+  StatusOr<ScenarioResult> shared = WorkloadRunner(cfg).Run("replicas_1");
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  ScenarioConfig uncached_cfg = cfg;
+  uncached_cfg.ablation.cache = false;
+  StatusOr<ScenarioResult> uncached =
+      WorkloadRunner(uncached_cfg).Run("cache_off");
+  ASSERT_TRUE(uncached.ok()) << uncached.status().ToString();
+  EXPECT_EQ(shared->result_crc, uncached->result_crc);
+  EXPECT_GT(shared->cache_hits, 0u);
+  for (size_t n : {2u, 3u, 4u}) {
+    cfg.coherence_replicas = n;
+    StatusOr<ScenarioResult> split = WorkloadRunner(cfg).Run("replicas_n");
+    ASSERT_TRUE(split.ok()) << split.status().ToString();
+    EXPECT_EQ(split->result_crc, shared->result_crc) << n << " replicas";
+    EXPECT_LE(split->cache_hits, shared->cache_hits) << n << " replicas";
+    EXPECT_EQ(split->cache_hits + split->cache_misses,
+              shared->cache_hits + shared->cache_misses)
+        << n << " replicas";
+  }
 }
 
 TEST(WorkloadRunnerTest, CoherenceRunIsDeterministic) {
@@ -212,7 +227,7 @@ TEST(WorkloadRunnerTest, CoherenceReplicasKnobRoundTrips) {
       ParseScenarioConfig(FormatScenarioConfig(cfg));
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(reparsed->coherence_replicas, 7u);
-  EXPECT_TRUE(reparsed->ablation.coherence);
+  EXPECT_EQ(reparsed->ablation, cfg.ablation);
 }
 
 // ---- Shed/served accounting at the admission edge ------------------
